@@ -5,7 +5,6 @@ Subcommands:
   run      generate or load instances, sweep seeds, emit one CSV row per run
   scaling  run a size sweep and fit awake complexity against log2 log2 n
   oracle   exact single-iteration adoption probabilities (tiny instances)
-  bench    compare the pure and compiled Monte Carlo kernels
 
 Exit codes: 0 all runs valid and complete, 1 usage/instance errors,
 2 when a run hit its round cap.  Errors go to stderr prefixed "error:".
@@ -16,10 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from fractions import Fraction
 
-from . import _kernels, oracle
+from . import oracle
 from .coloring import PipelineConfig, run_pipeline
 from .errors import (
     InstanceError,
@@ -75,13 +73,6 @@ def build_parser() -> _Parser:
 
     p_ora = sub.add_parser("oracle", help="exact adoption probabilities")
     p_ora.add_argument("--instance", help="analyze one instance file instead of the catalog")
-
-    p_ben = sub.add_parser("bench", help="compare Monte Carlo kernel backends")
-    p_ben.add_argument("--n", type=int, default=64)
-    p_ben.add_argument("--param", type=float, default=0.1,
-                       help="gnp edge probability for the benchmark instance")
-    p_ben.add_argument("--trials", type=int, default=200_000)
-    p_ben.add_argument("--seed-base", type=int, default=0)
     return parser
 
 
@@ -252,34 +243,6 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    graph = generate("gnp", args.n, seed=1, param=args.param)
-    inst = make_default_instance(graph)
-    names = list(_kernels.backends())
-    results = {}
-    timings = {}
-    for name in names:
-        t0 = time.perf_counter()
-        results[name] = _kernels.phase1_trial_counts(
-            inst, args.seed_base, args.trials, backend=name
-        )
-        timings[name] = time.perf_counter() - t0
-        rate = args.trials / timings[name] if timings[name] > 0 else float("inf")
-        print(f"backend={name} trials={args.trials} time={timings[name]:.3f}s "
-              f"trials_per_s={rate:,.0f}")
-    first = results[names[0]]
-    for name in names[1:]:
-        if results[name] != first:
-            print("error: internal: kernel backends disagree", file=sys.stderr)
-            return 1
-    if len(names) > 1:
-        print(f"backends_agree=1 speedup={timings['pure'] / timings['speed']:.1f}x")
-    else:
-        print("backends_agree=1 (only the pure backend is available)")
-    print(f"active_backend={_kernels.BACKEND}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -290,8 +253,6 @@ def main(argv=None) -> int:
             return cmd_scaling(args)
         if args.command == "oracle":
             return cmd_oracle(args)
-        if args.command == "bench":
-            return cmd_bench(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

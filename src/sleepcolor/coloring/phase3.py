@@ -53,22 +53,23 @@ LISTEN = "listen"
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_power(x: int) -> bool:
+def _is_prime(x: int) -> bool:
     if x < 2:
         return False
-    for p in range(2, x + 1):
-        if p * p > x:
-            return True          # x itself is prime
+    p = 2
+    while p * p <= x:
         if x % p == 0:
-            while x % p == 0:
-                x //= p
-            return x == 1
-    return False
+            return False
+        p += 1
+    return True
 
 
-def _next_prime_power(x: int) -> int:
+def _next_prime(x: int) -> int:
+    # primes only: linial_step computes mod q, and Z/qZ is a field only for
+    # prime q; for q = 4, 9, ... two distinct degree-d polynomials can agree
+    # on more than d points, leaving no distinguishing evaluation point
     q = max(2, x)
-    while not _is_prime_power(q):
+    while not _is_prime(q):
         q += 1
     return q
 
@@ -89,9 +90,9 @@ def palette_schedule(id_bit_size: int, max_degree: int) -> tuple[list[tuple[int,
     """Reduction steps ((q, d) per round) from palette 2**id_bit_size down.
 
     Greedy descent: each step picks the (q, d) minimizing the next palette
-    q*q subject to q being a prime power, q > d*max_degree, and
+    q*q subject to q being a prime, q > d*max_degree, and
     q**(d+1) >= current palette.  Stops when no step shrinks the palette.
-    The reachable floor is (smallest prime power > 2*max_degree)**2, i.e.
+    The reachable floor is (smallest prime > 2*max_degree)**2, i.e.
     O(max_degree**2) with a small constant.
     """
     delta = max(1, max_degree)
@@ -102,7 +103,7 @@ def palette_schedule(id_bit_size: int, max_degree: int) -> tuple[list[tuple[int,
         for d in range(1, 65):
             if d * delta + 1 > m:
                 break
-            q = _next_prime_power(max(d * delta + 1, _iroot_ceil(m, d + 1)))
+            q = _next_prime(max(d * delta + 1, _iroot_ceil(m, d + 1)))
             cand = q * q
             if cand < m and (best is None or cand < best[0]):
                 best = (cand, d, q)
@@ -373,7 +374,7 @@ def run_phase3(
     program = Phase3Program(steps, classes, mode=mode)
     needed = program.prelim_round + (0 if mode == "interim"
                                      else tournament_slot_count(classes) + 1)
-    cap = needed if round_cap is None else round_cap
+    cap = needed if round_cap is None else min(needed, round_cap)
     result = run_simulation(
         residual.graph,
         program,

@@ -13,13 +13,17 @@ PROPER_TOTAL = "proper_total"
 PROPER_PARTIAL = "proper_partial"
 INVALID = "invalid"
 
-DECAY_COLUMNS = 12
+DECAY_COLUMNS = 12      # at least x1..x12; more when k1 exceeds 12
 
-CSV_FIELDS = (
-    ["seed", "family", "n", "param", "K", "threshold", "worst_awake",
-     "avg_awake", "total_rounds", "valid", "phase2_incomplete"]
-    + [f"x{i}" for i in range(1, DECAY_COLUMNS + 1)]
-)
+_RUN_FIELDS = ["seed", "family", "n", "param", "K", "threshold", "worst_awake",
+               "avg_awake", "total_rounds", "valid", "phase2_incomplete"]
+
+
+def _csv_fields(decay_columns: int) -> list[str]:
+    return _RUN_FIELDS + [f"x{i}" for i in range(1, decay_columns + 1)]
+
+
+CSV_FIELDS = _csv_fields(DECAY_COLUMNS)
 
 
 def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) -> str:
@@ -67,7 +71,8 @@ class RunMetrics:
 
     def csv_row(self, seed: int, family: str, n: int, param, k: int,
                 threshold: int) -> list[str]:
-        xs = [self.decay_histogram.get(i, 0) for i in range(1, DECAY_COLUMNS + 1)]
+        xs = [self.decay_histogram.get(i, 0)
+              for i in range(1, max(DECAY_COLUMNS, k) + 1)]
         avg = self.average_awake
         return (
             [str(seed), family, str(n), _fmt_param(param), str(k), str(threshold),
@@ -199,9 +204,15 @@ def aggregate(runs: Iterable[RunMetrics]) -> dict:
 
 
 def write_csv(fh, rows: Iterable[Sequence[str]], header_comments: Iterable[str] = ()) -> None:
-    """Write the run CSV: comment block, mandatory header row, data rows."""
+    """Write the run CSV: comment block, mandatory header row, data rows.
+
+    The header names as many decay columns as the widest row carries, and
+    narrower rows (runs with a smaller k1) are padded with zero decay.
+    """
+    rows = list(rows)
+    width = max([len(CSV_FIELDS)] + [len(row) for row in rows])
     for line in header_comments:
         fh.write(f"# {line}\n")
-    fh.write(",".join(CSV_FIELDS) + "\n")
+    fh.write(",".join(_csv_fields(width - len(_RUN_FIELDS))) + "\n")
     for row in rows:
-        fh.write(",".join(row) + "\n")
+        fh.write(",".join(row) + ",0" * (width - len(row)) + "\n")

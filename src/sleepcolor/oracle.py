@@ -70,15 +70,15 @@ def exact_expected_uncolored_after_one_iteration(instance: ColoringInstance) -> 
 
 
 def monte_carlo_adoption(
-    instance: ColoringInstance, seed_base: int, trials: int, backend: str | None = None
+    instance: ColoringInstance, seed_base: int, trials: int
 ) -> dict[int, Fraction]:
     """Empirical adoption frequencies over `trials` seeded single iterations.
 
     Each trial is bit-identical to one run of the first phase-1 iteration
-    through the round engine (see the kernels package), so this estimates
-    exactly the distribution the simulator realizes.
+    through the round engine (see `_kernels`), so this estimates exactly
+    the distribution the simulator realizes.
     """
-    counts = _kernels.phase1_trial_counts(instance, seed_base, trials, backend=backend)
+    counts = _kernels.phase1_trial_counts(instance, seed_base, trials)
     return {v: Fraction(c, trials) for v, c in counts.items()}
 
 

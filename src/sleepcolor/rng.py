@@ -3,8 +3,8 @@
 Every node in a simulation draws from its own SplitMix64 stream seeded by
 (global seed, node id) only, so results never depend on scheduling order
 and any single node's draws can be reproduced in isolation.  The same
-integer-only recurrence is mirrored by the compiled kernel, which lets the
-two paths be compared bit for bit.
+integer-only recurrence is inlined by the Monte Carlo kernel (`_kernels`),
+which lets the kernel and the engine be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class NodeRng:
         """Uniform integer in [0, k).
 
         Plain modulo reduction; the bias is k / 2**64 which is far below
-        anything observable, and both kernel backends reduce identically.
+        anything observable, and the Monte Carlo kernel reduces identically.
         """
         if k <= 0:
             raise ValueError("randrange needs k >= 1")

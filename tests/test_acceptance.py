@@ -122,7 +122,7 @@ def test_c03_oracle_simulator_agreement():
         second = failures(616_000 + 1_000_000)   # one retry on a fresh seed
         assert not second, f"4-sigma misses after retry: {second}"
     _ok(3, "oracle-simulator-agreement",
-        f"{len(catalog)} instances x {trials} trials, backend={_kernels.BACKEND}")
+        f"{len(catalog)} instances x {trials} trials")
 
 
 # ---------------------------------------------------------------------------

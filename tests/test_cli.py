@@ -130,13 +130,14 @@ def test_oracle_isolated_prints_one_half(tmp_path, capsys):
     assert code == 0 and "node 0 p=1/2" in out
 
 
-def test_bench_smoke(capsys):
+def test_run_k1_above_twelve_keeps_every_decay_column(capsys):
     code, out, _ = run_cli(
-        ["bench", "--n", "16", "--param", "0.2", "--trials", "2000"], capsys
+        ["run", "--family", "path", "--n", "8", "--seeds", "2", "--k1", "13"], capsys
     )
     assert code == 0
-    assert "backends_agree=1" in out
-    assert "active_backend=" in out
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    assert data[0].endswith(",x12,x13")
+    assert [l.count(",") for l in data[1:]] == [23, 23]
 
 
 def test_fit_line_exact():

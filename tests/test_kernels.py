@@ -1,16 +1,7 @@
-import os
-import subprocess
-import sys
-
-import pytest
-
 from sleepcolor import _kernels
 from sleepcolor.coloring import Phase1Program
-from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
-from sleepcolor.oracle import tiny_catalog
+from sleepcolor.graph import build_graph, make_default_instance, make_instance
 from sleepcolor.simcore import run_simulation
-
-HAVE_SPEED = "speed" in _kernels.backends()
 
 
 def engine_counts(instance, seed_base, trials):
@@ -33,61 +24,30 @@ def test_pure_kernel_matches_engine_bit_for_bit():
     g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], [0, 1, 2, 3])
     inst = make_default_instance(g)
     trials = 250
-    assert _kernels.phase1_trial_counts(inst, 4242, trials, backend="pure") == \
+    assert _kernels.phase1_trial_counts(inst, 4242, trials) == \
         engine_counts(inst, 4242, trials)
 
 
-@pytest.mark.skipif(not HAVE_SPEED, reason="compiled kernel not built")
-def test_speed_kernel_matches_engine_bit_for_bit():
-    g = generate("gnp", 12, seed=5, param=0.3)
-    inst = make_default_instance(g)
-    trials = 250
-    assert _kernels.phase1_trial_counts(inst, 99, trials, backend="speed") == \
-        engine_counts(inst, 99, trials)
-
-
-@pytest.mark.skipif(not HAVE_SPEED, reason="compiled kernel not built")
-def test_backends_agree_across_catalog():
-    for name, inst in tiny_catalog()[::5]:
-        pure = _kernels.phase1_trial_counts(inst, 1, 2000, backend="pure")
-        speed = _kernels.phase1_trial_counts(inst, 1, 2000, backend="speed")
-        assert pure == speed, name
-
-
-@pytest.mark.skipif(not HAVE_SPEED, reason="compiled kernel not built")
-def test_backends_agree_with_arbitrary_ids_and_lists():
+def test_kernel_matches_engine_with_arbitrary_ids_and_lists():
     g = build_graph([(10, 70), (70, 300)], [10, 70, 300])
     inst = make_instance(g, {10: (5, 9), 70: (5, 9, 17), 300: (9, 17)})
-    pure = _kernels.phase1_trial_counts(inst, 31337, 5000, backend="pure")
-    speed = _kernels.phase1_trial_counts(inst, 31337, 5000, backend="speed")
-    assert pure == speed
+    assert _kernels.phase1_trial_counts(inst, 31337, 1000) == \
+        engine_counts(inst, 31337, 1000)
+    # ids at and past 2**63 do not fit a signed 64-bit word
+    big = [2**63, 2**64 + 5, 2**70 - 1]
+    g = build_graph([(big[0], big[1]), (big[1], big[2]), (big[2], 3)], big + [3])
+    inst = make_instance(g, {big[0]: (2, 4), big[1]: (1, 2, 4),
+                             big[2]: (4, 7, 8), 3: (7, 8)})
+    assert _kernels.phase1_trial_counts(inst, 77, 1000) == \
+        engine_counts(inst, 77, 1000)
 
 
 def test_instance_arrays_layout():
     g = build_graph([(0, 2)], [0, 1, 2])
     inst = make_instance(g, {0: (1, 3), 1: (2,), 2: (4, 8)})
     ids, indptr, indices, list_indptr, list_values = _kernels.instance_arrays(inst)
-    assert list(ids) == [0, 1, 2]
-    assert list(indptr) == [0, 1, 1, 2]
-    assert list(indices) == [2, 0]
-    assert list(list_indptr) == [0, 2, 3, 5]
-    assert list(list_values) == [1, 3, 2, 4, 8]
-
-
-def test_env_var_forces_pure_backend():
-    code = (
-        "import sleepcolor._kernels as k; print(k.BACKEND)"
-    )
-    env = dict(os.environ, SLEEPCOLOR_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"
-
-
-def test_default_backend_prefers_compiled_when_available():
-    if HAVE_SPEED and not os.environ.get("SLEEPCOLOR_PURE"):
-        assert _kernels.BACKEND == "speed"
-    else:
-        assert _kernels.BACKEND == "pure"
+    assert ids == [0, 1, 2]
+    assert indptr == [0, 1, 1, 2]
+    assert indices == [2, 0]
+    assert list_indptr == [0, 2, 3, 5]
+    assert list_values == [1, 3, 2, 4, 8]

@@ -98,6 +98,20 @@ def test_csv_schema_and_padding():
     assert text.splitlines()[1] == ",".join(CSV_FIELDS)
 
 
+def test_csv_keeps_decay_columns_past_x12():
+    m = _metrics()
+    m.decay_histogram = {i: 1 for i in range(1, 14)}
+    wide = m.csv_row(seed=1, family="gnp", n=8, param=None, k=13, threshold=8)
+    assert len(wide) == len(CSV_FIELDS) + 1 and wide[-1] == "1"
+    narrow = _metrics().csv_row(seed=2, family="gnp", n=8, param=None, k=3, threshold=8)
+    buf = io.StringIO()
+    write_csv(buf, [narrow, wide])
+    header, first, second = buf.getvalue().splitlines()
+    assert header == ",".join(CSV_FIELDS) + ",x13"
+    assert first == ",".join(narrow) + ",0"      # zero decay in x13
+    assert second == ",".join(wide)
+
+
 def test_average_awake_six_decimals():
     m = _metrics(avg=Fraction(7, 3))
     row = m.csv_row(seed=0, family="path", n=2, param=None, k=1, threshold=8)

@@ -3,22 +3,25 @@ import math
 from helpers import greedy_by_class, random_residual_instance
 
 from sleepcolor.coloring import (
+    PipelineConfig,
     class_duties,
     interim_palette,
     palette_schedule,
     phase3_interim_coloring,
     phase3_tournament_reduction,
     run_phase3,
+    run_pipeline,
     tournament_slot_count,
 )
-from sleepcolor.coloring.phase3 import _next_prime_power
+from sleepcolor.coloring import phase3
+from sleepcolor.coloring.phase3 import _is_prime, _next_prime
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.metrics import validity_verdict
 
 
 def _palette_bound(delta: int) -> int:
-    # the descent's guaranteed floor: (smallest prime power > 2*delta)^2
-    return _next_prime_power(2 * max(1, delta) + 1) ** 2
+    # the descent's guaranteed floor: (smallest prime > 2*delta)^2
+    return _next_prime(2 * max(1, delta) + 1) ** 2
 
 
 def test_palette_schedule_reaches_quadratic_floor():
@@ -29,9 +32,35 @@ def test_palette_schedule_reaches_quadratic_floor():
             if (1 << bits) > _palette_bound(delta):
                 assert palette <= _palette_bound(delta)
             assert len(steps) <= 10
-            # each step's parameters are usable: q a prime power, q > d*delta
+            # each step's parameters are usable: q a prime, q > d*delta
             for q, d in steps:
-                assert q > d * delta
+                assert _is_prime(q) and q > d * delta
+
+
+def test_prime_moduli_color_the_zero_forty_edge():
+    # ids {0, 40} once drew q = 4 (d = 2); Z/4Z is not a field, and 77 of
+    # these 200 seeds found no distinguishing evaluation point
+    inst = make_default_instance(build_graph([(0, 40)], [0, 40]))
+    for seed in range(200):
+        _, metrics = run_pipeline(inst, PipelineConfig(seed=seed))
+        assert metrics.validity == "proper_total" and metrics.complete, seed
+
+
+def test_pipeline_caps_phase3_at_its_schedule(monkeypatch):
+    seen = []
+    real = phase3.run_simulation
+
+    def spy(graph, program, **kwargs):
+        seen.append((program, kwargs["round_cap"]))
+        return real(graph, program, **kwargs)
+
+    monkeypatch.setattr(phase3, "run_simulation", spy)
+    inst = make_default_instance(generate("gnp", 64, seed=3, param=0.2))
+    _, metrics = run_pipeline(inst, PipelineConfig(seed=1, k1=1))
+    assert len(seen) == 1 and metrics.phase3_classes > 1
+    program, cap = seen[0]
+    # interim rounds + tournament slots + the final round
+    assert cap == len(program.steps) + 1 + tournament_slot_count(metrics.phase3_classes) + 1
 
 
 def test_interim_edgeless_is_all_zero():

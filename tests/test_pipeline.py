@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sleepcolor.coloring import PipelineConfig, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
@@ -142,3 +144,38 @@ def test_empty_graph_pipeline():
     assert m.validity == "proper_total"
     # worst case: survive all of phase 1, then preliminary + leaf in phase 3
     assert m.worst_case_awake <= 2 * default_k1(50, 3.0) + 2
+
+
+@st.composite
+def admissible_instances(draw):
+    """Small graphs, arbitrary distinct ids, irregular lists of size >= deg+1."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    # the id bit size sets phase 3's palette schedule, so vary it first
+    bits = draw(st.integers(min_value=max(1, (n - 1).bit_length()), max_value=70))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1),
+                        min_size=n, max_size=n, unique=True))
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = build_graph([e for e, k in zip(pairs, keep) if k], ids)
+    lists = {}
+    for v in ids:
+        size = graph.degree(v) + 1 + draw(st.integers(min_value=0, max_value=2))
+        lists[v] = tuple(draw(st.lists(st.integers(min_value=1, max_value=40),
+                                       min_size=size, max_size=size, unique=True)))
+    return make_instance(graph, lists)
+
+
+@given(
+    inst=admissible_instances(),
+    k1=st.sampled_from([None, 1]),
+    threshold=st.sampled_from([None, 2, 3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, threshold, seed):
+    coloring, metrics = run_pipeline(
+        inst, PipelineConfig(k1=k1, phase2_degree_threshold=threshold, seed=seed)
+    )
+    assert metrics.validity == "proper_total" and metrics.complete
+    colors = coloring.assignment
+    assert all(colors[v] in inst.lists[v] for v in inst.graph.nodes)
+    assert all(colors[u] != colors[v] for u, v in inst.graph.edges())
