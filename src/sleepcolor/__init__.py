@@ -19,13 +19,12 @@ from .graph import (
     write_instance,
 )
 from .metrics import RunMetrics, aggregate, collect, validity_verdict
-from .rng import NodeRng, node_rng
+from .rng import NodeRng
 from .simcore import (
     Action,
     SimulationResult,
     Trace,
     default_round_cap,
-    deliverable,
     run_simulation,
 )
 
@@ -48,12 +47,10 @@ __all__ = [
     "build_graph",
     "collect",
     "default_round_cap",
-    "deliverable",
     "generate",
     "kernel_backend",
     "make_default_instance",
     "make_instance",
-    "node_rng",
     "read_instance",
     "run_pipeline",
     "run_simulation",

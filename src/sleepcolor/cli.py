@@ -141,12 +141,7 @@ def cmd_run(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
     rows, _metrics, traces, code = _sweep(args)
-    header = PipelineConfig(
-        k1=args.k1, k1_coefficient=args.k1_coef,
-        phase2_degree_threshold=args.phase2_threshold,
-        phase2_iteration_cap=args.phase2_cap,
-        seed=args.seed_base, round_cap=args.round_cap,
-    ).kv_block()
+    header = _config_from_args(args, args.seed_base).kv_block()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(fh, rows, header)

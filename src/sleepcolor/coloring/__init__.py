@@ -7,8 +7,6 @@ from .phase3 import (
     interim_palette,
     linial_step,
     palette_schedule,
-    phase3_interim_coloring,
-    phase3_tournament_reduction,
     run_phase3,
     tournament_slot_count,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "interim_palette",
     "linial_step",
     "palette_schedule",
-    "phase3_interim_coloring",
-    "phase3_tournament_reduction",
     "run_phase1",
     "run_phase2",
     "run_phase3",

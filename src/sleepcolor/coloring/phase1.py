@@ -72,6 +72,15 @@ class Phase1Program:
         return Action()
 
 
+def survivor_lists(result) -> dict[int, tuple[int, ...]]:
+    """Survivors' lists, minus the adoptions still waiting in their buffers."""
+    lists = {}
+    for v, st in result.final_states.items():
+        taken = {color for kind, color in result.pending_inbox[v] if kind == ADOPT}
+        lists[v] = tuple(c for c in st.remaining if c not in taken)
+    return lists
+
+
 @dataclass
 class PhaseOutcome:
     """What one pipeline phase produced, in phase-local round numbering."""
@@ -108,18 +117,12 @@ def run_phase1(
         trace=trace,
         on_incomplete="return",
     )
-    colors = dict(result.outputs)
-    uncolored = sorted(result.final_states)
+    lists = survivor_lists(result)
     residual = None
-    if uncolored:
-        lists = {}
-        for v in uncolored:
-            st: Phase1State = result.final_states[v]
-            taken = {color for kind, color in result.pending_inbox[v] if kind == ADOPT}
-            lists[v] = tuple(c for c in st.remaining if c not in taken)
-        residual = make_instance(instance.graph.induced(uncolored), lists)
+    if lists:
+        residual = make_instance(instance.graph.induced(lists), lists)
     return PhaseOutcome(
-        colors=colors,
+        colors=dict(result.outputs),
         residual=residual,
         awake_rounds=result.awake_rounds,
         termination_round={

@@ -11,12 +11,13 @@ the high-degree nodes:
           propose but stay awake to hear adoption announcements, which
           keeps their lists pruned.
 
-Everyone still uncolored drops out of the phase, by going back to sleep,
-after a propose round in which it heard no proposal at all: proposers send
-every iteration (even a 0 draw), so silence proves no neighbor can adopt
-anymore.  The region and the empty-core shortcut are computed centrally
-from the residual instance; this stands in for a two-round announcement
-cascade that a strict message-passing deployment would run.
+Everyone still uncolored drops out of the phase, by sleeping until the
+window ends, after a propose round in which it heard no proposal at all:
+proposers send every iteration (even a 0 draw), so silence proves no
+neighbor can adopt anymore.  Phase 3 wakes it again.  The region and the
+empty-core shortcut are computed centrally from the residual instance;
+this stands in for a two-round announcement cascade that a strict
+message-passing deployment would run.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ from dataclasses import dataclass
 from ..errors import AlgorithmInvariantViolation
 from ..graph import ColoringInstance, make_instance
 from ..simcore import Action, Trace, run_simulation
-from .phase1 import ADOPT, PROPOSE, PhaseOutcome
+from .phase1 import ADOPT, PROPOSE, PhaseOutcome, survivor_lists
 
 CORE = "core"
 RING1 = "ring1"
 RING2 = "ring2"
-
-COLORED = "colored"
-DROPPED = "dropped"
 
 
 @dataclass
@@ -47,8 +45,9 @@ class Phase2State:
 
 
 class Phase2Program:
-    def __init__(self, threshold: int):
+    def __init__(self, threshold: int, iteration_cap: int):
         self.threshold = threshold
+        self.iteration_cap = iteration_cap
 
     def initial_state(self, ctx) -> Phase2State:
         colors, role, degree = ctx.input
@@ -83,11 +82,11 @@ class Phase2Program:
             return Action(
                 sends={u: msg for u in ctx.neighbors},
                 terminate=True,
-                output=(COLORED, st.proposal),
+                output=st.proposal,
             )
         if not heard and not st.proposed:
-            # no active proposer around: nothing further to hear or do
-            return Action(terminate=True, output=(DROPPED, tuple(st.remaining)))
+            # no active proposer around: sleep out the rest of the window
+            return Action(sleep_rounds=2 * self.iteration_cap - ctx.round)
         st.proposing_round = True
         return Action()
 
@@ -131,7 +130,7 @@ def run_phase2(
     }
     result = run_simulation(
         region_graph,
-        Phase2Program(threshold),
+        Phase2Program(threshold, iteration_cap),
         inputs=inputs,
         seed=seed,
         round_cap=2 * iteration_cap,
@@ -139,19 +138,8 @@ def run_phase2(
         on_incomplete="return",
     )
 
-    colors: dict[int, int] = {}
-    new_lists: dict[int, tuple[int, ...]] = {}
-    for v, out in result.outputs.items():
-        kind, value = out
-        if kind == COLORED:
-            colors[v] = value
-        else:
-            new_lists[v] = value
-    for v in result.final_states:  # nodes cut off by the iteration cap
-        st: Phase2State = result.final_states[v]
-        taken = {color for kind, color in result.pending_inbox[v] if kind == ADOPT}
-        new_lists[v] = tuple(c for c in st.remaining if c not in taken)
-
+    colors = dict(result.outputs)
+    new_lists = survivor_lists(result)    # dropped or cut off by the cap
     uncolored = [v for v in graph.nodes if v not in colors]
     residual_out = None
     if uncolored:
@@ -163,7 +151,7 @@ def run_phase2(
         residual=residual_out,
         awake_rounds=result.awake_rounds,
         termination_round={v: r for v, r in result.termination_round.items()
-                           if r is not None and v in colors},
+                           if r is not None},
         rounds_executed=result.rounds_executed,
         extra={
             "iterations": (result.rounds_executed + 1) // 2,

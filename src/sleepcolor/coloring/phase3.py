@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AlgorithmInvariantViolation
-from ..graph import ColoringInstance
+from ..graph import ColoringInstance, make_instance
 from ..simcore import Action, Trace, run_simulation
 from .phase1 import PhaseOutcome
 
@@ -100,7 +100,8 @@ def palette_schedule(id_bit_size: int, max_degree: int) -> tuple[list[tuple[int,
     steps: list[tuple[int, int]] = []
     while True:
         best: tuple[int, int, int] | None = None   # (q*q, d, q)
-        for d in range(1, 65):
+        # d = 1 never wins: q >= ceil(sqrt(m)) there, so q*q < m fails
+        for d in range(2, 65):
             if d * delta + 1 > m:
                 break
             q = _next_prime(max(d * delta + 1, _iroot_ceil(m, d + 1)))
@@ -200,24 +201,15 @@ class Phase3State:
 
 
 class Phase3Program:
-    """Interim reduction and/or tournament, per `mode`.
+    """Identifiers -> interim coloring -> tournament, in one run."""
 
-    mode="full":       identifiers -> interim -> tournament (the pipeline path)
-    mode="interim":    identifiers -> interim color as the node's output
-    mode="tournament": a proper interim coloring is given as node input
-    """
-
-    def __init__(self, steps, classes: int, mode: str = "full"):
+    def __init__(self, steps, classes: int):
         self.steps = list(steps)
         self.classes = classes
-        self.mode = mode
         # round after which the tournament slots start
-        self.prelim_round = 1 if mode == "tournament" else len(self.steps) + 1
+        self.prelim_round = len(self.steps) + 1
 
     def initial_state(self, ctx) -> Phase3State:
-        if self.mode == "tournament":
-            colors, interim = ctx.input
-            return Phase3State(remaining=tuple(colors), interim=interim)
         # single-class palette only happens on edgeless graphs
         start = ctx.node_id if self.classes > 1 else 0
         return Phase3State(remaining=tuple(ctx.input), interim=start)
@@ -287,7 +279,7 @@ class Phase3Program:
 
         if rnd == self.prelim_round:
             # final reduction step (if any), then the preliminary exchange
-            if self.steps and self.mode != "tournament":
+            if self.steps:
                 q, d = self.steps[st.step_index]
                 st.step_index += 1
                 st.interim = linial_step(
@@ -295,8 +287,6 @@ class Phase3Program:
                     (value for kind, value in inbox if kind == COLOR_XCHG),
                     q, d, ctx.node_id,
                 )
-            if self.mode == "interim":
-                return Action(terminate=True, output=st.interim)
             self._plan(ctx, st)
             msg = (FINAL_INTERIM, st.interim)
             return self._gap_action(
@@ -354,31 +344,16 @@ def run_phase3(
     residual: ColoringInstance,
     trace: Trace | None = None,
     round_cap: int | None = None,
-    mode: str = "full",
-    interim: dict[int, int] | None = None,
 ) -> PhaseOutcome:
-    """Run phase 3 (or one of its stages) on a residual instance."""
-    if mode == "tournament":
-        if interim is None:
-            raise ValueError("tournament mode needs an interim coloring")
-        steps: list[tuple[int, int]] = []
-        classes = max(interim.values()) + 1
-        inputs = {v: (residual.lists[v], interim[v]) for v in residual.graph.nodes}
-    else:
-        if residual.graph.max_degree == 0:
-            steps, classes = [], 1
-            inputs = {v: residual.lists[v] for v in residual.graph.nodes}
-        else:
-            steps, classes = interim_palette(residual)
-            inputs = {v: residual.lists[v] for v in residual.graph.nodes}
-    program = Phase3Program(steps, classes, mode=mode)
-    needed = program.prelim_round + (0 if mode == "interim"
-                                     else tournament_slot_count(classes) + 1)
+    """Run phase 3 on a residual instance."""
+    steps, classes = interim_palette(residual)
+    program = Phase3Program(steps, classes)
+    needed = program.prelim_round + tournament_slot_count(classes) + 1
     cap = needed if round_cap is None else min(needed, round_cap)
     result = run_simulation(
         residual.graph,
         program,
-        inputs=inputs,
+        inputs=residual.lists,
         seed=0,                      # fully deterministic; streams unused
         round_cap=cap,
         trace=trace,
@@ -401,23 +376,7 @@ def run_phase3(
 
 
 def _leftover(residual: ColoringInstance, result) -> ColoringInstance:
-    from ..graph import make_instance
-
     left = sorted(result.final_states)
     return make_instance(
         residual.graph.induced(left), {v: residual.lists[v] for v in left}
     )
-
-
-def phase3_interim_coloring(residual: ColoringInstance) -> dict[int, int]:
-    """Deterministic proper coloring with an O(max degree squared) palette."""
-    out = run_phase3(residual, mode="interim")
-    return out.colors
-
-
-def phase3_tournament_reduction(
-    residual: ColoringInstance, interim: dict[int, int], trace: Trace | None = None
-) -> dict[int, int]:
-    """Reduce a proper interim coloring to a proper list coloring."""
-    out = run_phase3(residual, trace=trace, mode="tournament", interim=interim)
-    return out.colors

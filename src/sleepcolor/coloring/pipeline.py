@@ -58,7 +58,6 @@ class PipelineConfig:
     k1_coefficient: float = 3.0
     phase2_degree_threshold: int | None = None
     phase2_iteration_cap: int = 40
-    phase3_enabled: bool = True
     seed: int = 0
     round_cap: int | None = None
 
@@ -87,18 +86,16 @@ class PipelineConfig:
         s3 = s2 + (2 * cfg.phase2_iteration_cap if self.phase2_scheduled(n) else 0)
         return s2, s3
 
-    def kv_block(self, n: int | None = None) -> list[str]:
+    def kv_block(self) -> list[str]:
         """Flat key=value lines (embedded in CSV output for reproducibility)."""
-        cfg = self if n is None else self.resolve(n)
         return [
-            f"k1={cfg.k1 if cfg.k1 is not None else 'auto'}",
-            f"k1_coefficient={cfg.k1_coefficient}",
+            f"k1={self.k1 if self.k1 is not None else 'auto'}",
+            f"k1_coefficient={self.k1_coefficient}",
             f"phase2_degree_threshold="
-            f"{cfg.phase2_degree_threshold if cfg.phase2_degree_threshold is not None else 'auto'}",
-            f"phase2_iteration_cap={cfg.phase2_iteration_cap}",
-            f"phase3_enabled={int(cfg.phase3_enabled)}",
-            f"seed={cfg.seed}",
-            f"round_cap={cfg.round_cap if cfg.round_cap is not None else 'auto'}",
+            f"{self.phase2_degree_threshold if self.phase2_degree_threshold is not None else 'auto'}",
+            f"phase2_iteration_cap={self.phase2_iteration_cap}",
+            f"seed={self.seed}",
+            f"round_cap={self.round_cap if self.round_cap is not None else 'auto'}",
         ]
 
 
@@ -110,8 +107,7 @@ def run_pipeline(
     """Run all phases on an admissible instance.
 
     Raises RunIncomplete (carrying the partial coloring and metrics) if the
-    global round cap cuts phase 3 short.  With phase3_enabled=False the
-    possibly-partial coloring after phase 2 is returned as-is.
+    global round cap cuts the run short.
     """
     graph = instance.graph
     n = graph.node_count
@@ -164,7 +160,7 @@ def run_pipeline(
 
     complete = residual is None
     phase3_classes = 0
-    if residual is not None and cfg.phase3_enabled and cfg.round_cap > s3:
+    if residual is not None and cfg.round_cap > s3:
         if trace is not None:
             trace.round_offset = s3
         p3 = run_phase3(residual, trace=trace, round_cap=cfg.round_cap - s3)
@@ -197,7 +193,7 @@ def run_pipeline(
         phase_rounds=phase_rounds,
         phase3_classes=phase3_classes,
     )
-    if not complete and cfg.phase3_enabled:
+    if not complete:
         raise RunIncomplete(
             f"pipeline hit the round cap ({cfg.round_cap}) with "
             f"{len(coloring.uncolored_nodes(graph))} uncolored nodes",

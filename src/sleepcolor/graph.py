@@ -154,9 +154,6 @@ class Coloring:
     def uncolored_nodes(self, graph: Graph) -> list[int]:
         return [v for v in graph.nodes if self.color(v) == UNCOLORED]
 
-    def is_total(self, graph: Graph) -> bool:
-        return all(self.color(v) != UNCOLORED for v in graph.nodes)
-
 
 # ---------------------------------------------------------------------------
 # generators

@@ -59,11 +59,6 @@ class NodeRng:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
 
-def node_rng(global_seed: int, node_id: int) -> NodeRng:
-    """The per-node stream used by simulations; see module docstring."""
-    return NodeRng(global_seed, node_id)
-
-
 def derive_seed(seed: int, salt: int) -> int:
     """Derive an independent 64-bit seed for a sub-simulation."""
     return mix64((seed & MASK64) ^ mix64(salt))

@@ -33,16 +33,6 @@ from .errors import ProgramError, RunIncomplete
 from .graph import Graph
 from .rng import NodeRng
 
-AWAKE = "awake"
-SLEEPING = "sleeping"
-TERMINATED = "terminated"
-
-
-def deliverable(sender_status: str, receiver_status: str) -> bool:
-    """Two nodes can exchange a message in a round only if both are awake."""
-    return sender_status == AWAKE and receiver_status == AWAKE
-
-
 def default_round_cap(n: int) -> int:
     """A cap comfortably above the pipeline's polylog round bound."""
     if n < 2:
@@ -128,11 +118,8 @@ class SimulationResult:
     termination_round: dict[int, int | None]
     final_states: dict[int, Any]             # survivors' algorithm state
     pending_inbox: dict[int, list[Any]]      # survivors' unconsumed buffers
-    rounds_executed: int
+    rounds_executed: int                     # last round any node ran
     complete: bool
-
-    def survivors(self) -> list[int]:
-        return sorted(self.final_states)
 
 
 def run_simulation(
@@ -176,7 +163,6 @@ def run_simulation(
         ctx.state = program.initial_state(ctx)
         ctxs[v] = ctx
 
-    status = {v: AWAKE for v in nodes}
     awake: set[int] = set(nodes)
     wake_heap: list[tuple[int, int]] = []
     buffers: dict[int, list[Any]] = {v: [] for v in nodes}
@@ -194,13 +180,11 @@ def run_simulation(
         else:
             break                        # quiescent: survivors sleep forever
         if nxt > round_cap:
-            rnd = round_cap
             break
         rnd = nxt
 
         while wake_heap and wake_heap[0][0] == rnd:
             _, v = heappop(wake_heap)
-            status[v] = AWAKE
             awake.add(v)
 
         active = sorted(awake)
@@ -234,14 +218,12 @@ def run_simulation(
         for v in sorted(actions):
             act = actions[v]
             if act.terminate:
-                status[v] = TERMINATED
                 awake.discard(v)
                 termination_round[v] = rnd
                 outputs[v] = act.output
                 alive -= 1
                 tok = "term"
             elif act.sleep_rounds:
-                status[v] = SLEEPING
                 awake.discard(v)
                 heappush(wake_heap, (rnd + act.sleep_rounds + 1, v))
                 tok = f"sleep:{act.sleep_rounds}"
@@ -255,8 +237,8 @@ def run_simulation(
         outputs=outputs,
         awake_rounds=awake_rounds,
         termination_round=termination_round,
-        final_states={v: ctxs[v].state for v in nodes if status[v] != TERMINATED},
-        pending_inbox={v: buffers[v] for v in nodes if status[v] != TERMINATED},
+        final_states={v: ctxs[v].state for v in nodes if termination_round[v] is None},
+        pending_inbox={v: buffers[v] for v in nodes if termination_round[v] is None},
         rounds_executed=rnd,
         complete=complete,
     )

@@ -8,6 +8,7 @@ the two is meaningful.
 
 from __future__ import annotations
 
+from sleepcolor.coloring import interim_palette, linial_step
 from sleepcolor.graph import ColoringInstance, make_instance, read_instance
 from sleepcolor.rng import NodeRng
 
@@ -19,6 +20,17 @@ def greedy_by_class(instance: ColoringInstance, interim: dict[int, int]) -> dict
     for v in order:
         used = {colors[u] for u in instance.graph.adjacency[v] if u in colors}
         colors[v] = next(c for c in instance.lists[v] if c not in used)
+    return colors
+
+
+def central_interim(instance: ColoringInstance) -> dict[int, int]:
+    """Centralized interim coloring: every reduction step on all nodes at once."""
+    steps, classes = interim_palette(instance)
+    g = instance.graph
+    colors = {v: v if classes > 1 else 0 for v in g.nodes}
+    for q, d in steps:
+        colors = {v: linial_step(colors[v], [colors[u] for u in g.adjacency[v]], q, d, v)
+                  for v in g.nodes}
     return colors
 
 

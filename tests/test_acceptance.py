@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import greedy_by_class, random_residual_instance
+from helpers import central_interim, greedy_by_class, random_residual_instance
 
 from sleepcolor import _kernels
 from sleepcolor.cli import fit_line, main as cli_main
 from sleepcolor.coloring import (
     PipelineConfig,
-    phase3_interim_coloring,
     run_pipeline,
     run_phase3,
 )
@@ -287,7 +286,7 @@ def phase3_corpus():
 def test_c09_tournament_equals_sequential_greedy(phase3_corpus):
     """Tournament output == centralized greedy on 500 random instances."""
     for idx, (inst, outcome) in enumerate(phase3_corpus):
-        interim = phase3_interim_coloring(inst)
+        interim = central_interim(inst)
         expected = greedy_by_class(inst, interim)
         assert outcome.colors == expected, f"instance {idx} diverged"
     _ok(9, "tournament-greedy-equivalence", f"{len(phase3_corpus)} instances")

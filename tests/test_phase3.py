@@ -1,14 +1,12 @@
 import math
 
-from helpers import greedy_by_class, random_residual_instance
+from helpers import central_interim, greedy_by_class, random_residual_instance
 
 from sleepcolor.coloring import (
     PipelineConfig,
     class_duties,
     interim_palette,
     palette_schedule,
-    phase3_interim_coloring,
-    phase3_tournament_reduction,
     run_phase3,
     run_pipeline,
     tournament_slot_count,
@@ -25,7 +23,7 @@ def _palette_bound(delta: int) -> int:
 
 
 def test_palette_schedule_reaches_quadratic_floor():
-    for bits in (4, 8, 16, 32, 64):
+    for bits in (4, 8, 16, 32, 64, 70):
         for delta in (1, 2, 3, 4, 6, 8, 12, 20):
             steps, palette = palette_schedule(bits, delta)
             assert palette <= max(_palette_bound(delta), 1 << bits)
@@ -66,12 +64,13 @@ def test_pipeline_caps_phase3_at_its_schedule(monkeypatch):
 def test_interim_edgeless_is_all_zero():
     g = build_graph([], [3, 9, 17])
     inst = make_instance(g, {3: (1,), 9: (2,), 17: (5,)})
-    assert phase3_interim_coloring(inst) == {3: 0, 9: 0, 17: 0}
+    assert interim_palette(inst) == ([], 1)
+    assert central_interim(inst) == {3: 0, 9: 0, 17: 0}
 
 
 def test_interim_five_cycle_proper_and_bounded():
     inst = make_default_instance(generate("cycle", 5, seed=0))
-    interim = phase3_interim_coloring(inst)
+    interim = central_interim(inst)
     g = inst.graph
     for u, v in g.edges():
         assert interim[u] != interim[v]
@@ -85,7 +84,7 @@ def test_interim_proper_on_thousand_random_graphs():
         n = 2 + trial % 17
         g = generate("gnp", n, seed=trial, param=0.3)
         inst = make_default_instance(g)
-        interim = phase3_interim_coloring(inst)
+        interim = central_interim(inst)
         for u, v in g.edges():
             assert interim[u] != interim[v], f"trial {trial}"
 
@@ -119,9 +118,10 @@ def test_single_class_residual():
 def test_two_class_edge_example():
     g = build_graph([(0, 1)], [0, 1])
     inst = make_instance(g, {0: (1, 2), 1: (1, 2)})
-    interim = {0: 0, 1: 1}
-    colors = phase3_tournament_reduction(inst, interim)
-    assert colors == {0: 1, 1: 2}
+    # ids {0, 1} are already a proper 2-class interim coloring: no reduction step
+    out = run_phase3(inst)
+    assert out.extra["reduction_steps"] == 0 and out.extra["classes"] == 2
+    assert out.colors == {0: 1, 1: 2}
 
 
 def test_tournament_equals_sequential_greedy_on_random_instances():
@@ -129,7 +129,7 @@ def test_tournament_equals_sequential_greedy_on_random_instances():
         inst = random_residual_instance(trial)
         out = run_phase3(inst)
         assert out.extra["complete"]
-        interim = phase3_interim_coloring(inst)
+        interim = central_interim(inst)
         assert out.colors == greedy_by_class(inst, interim), f"trial {trial}"
         assert validity_verdict(inst, out.colors) == "proper_total"
 
@@ -160,11 +160,3 @@ def test_phase3_deterministic():
     b = run_phase3(inst)
     assert a.colors == b.colors
     assert a.awake_rounds == b.awake_rounds
-
-
-def test_standalone_stages_compose_to_full():
-    inst = random_residual_instance(11)
-    interim = phase3_interim_coloring(inst)
-    staged = phase3_tournament_reduction(inst, interim)
-    full = run_phase3(inst)
-    assert staged == full.colors

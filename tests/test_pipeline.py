@@ -81,16 +81,6 @@ def test_round_cap_propagates_run_incomplete():
     assert validity_verdict(inst, coloring.assignment) in ("proper_partial", "proper_total")
 
 
-def test_phase3_disabled_returns_partial_without_raising():
-    g = generate("gnp", 64, seed=3, param=0.2)
-    inst = make_default_instance(g)
-    coloring, metrics = run_pipeline(
-        inst, PipelineConfig(seed=3, k1=1, phase3_enabled=False)
-    )
-    assert not metrics.complete
-    assert metrics.validity in ("proper_partial", "proper_total")
-
-
 def test_forced_phase2_window_and_phase3_offsets():
     g = generate("gnp", 150, seed=4, param=0.12)
     inst = make_default_instance(g)
@@ -106,19 +96,25 @@ def test_forced_phase2_window_and_phase3_offsets():
 
 
 def test_trace_collect_agrees_with_pipeline_metrics():
-    g = generate("gnp", 90, seed=6, param=0.08)
-    inst = make_default_instance(g)
-    cfg = PipelineConfig(seed=6, k1=2, phase2_degree_threshold=5, phase2_iteration_cap=8)
-    trace = Trace()
-    coloring, m = run_pipeline(inst, cfg, trace=trace)
-    rebuilt = collect(trace, coloring, inst, cfg)
-    assert rebuilt.worst_case_awake == m.worst_case_awake
-    assert rebuilt.average_awake == m.average_awake
-    assert rebuilt.total_rounds == m.total_rounds
-    assert rebuilt.decay_histogram == m.decay_histogram
-    assert rebuilt.validity == m.validity
-    assert rebuilt.per_node == m.per_node
-    assert rebuilt.phase_awake == m.phase_awake
+    cases = [
+        (90, 0.08, PipelineConfig(seed=6, k1=2, phase2_degree_threshold=5,
+                                  phase2_iteration_cap=8)),
+        # phase-2 dropouts sleep through the window and wake again in phase 3
+        (512, 8 / 512, PipelineConfig(seed=1, k1=1, phase2_degree_threshold=10)),
+    ]
+    for n, p, cfg in cases:
+        inst = make_default_instance(generate("gnp", n, seed=cfg.seed, param=p))
+        trace = Trace()
+        coloring, m = run_pipeline(inst, cfg, trace=trace)
+        rebuilt = collect(trace, coloring, inst, cfg)
+        assert rebuilt.worst_case_awake == m.worst_case_awake
+        assert rebuilt.average_awake == m.average_awake
+        assert rebuilt.total_rounds == m.total_rounds
+        assert rebuilt.decay_histogram == m.decay_histogram
+        assert rebuilt.validity == m.validity
+        assert rebuilt.per_node == m.per_node
+        assert rebuilt.phase_awake == m.phase_awake
+        assert rebuilt.phase_rounds == m.phase_rounds
 
 
 def test_collect_detects_trace_coloring_mismatch():
@@ -172,10 +168,16 @@ def admissible_instances(draw):
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, threshold, seed):
-    coloring, metrics = run_pipeline(
-        inst, PipelineConfig(k1=k1, phase2_degree_threshold=threshold, seed=seed)
-    )
+    cfg = PipelineConfig(k1=k1, phase2_degree_threshold=threshold, seed=seed)
+    trace = Trace()
+    coloring, metrics = run_pipeline(inst, cfg, trace=trace)
     assert metrics.validity == "proper_total" and metrics.complete
     colors = coloring.assignment
     assert all(colors[v] in inst.lists[v] for v in inst.graph.nodes)
     assert all(colors[u] != colors[v] for u, v in inst.graph.edges())
+    rebuilt = collect(trace, coloring, inst, cfg)
+    assert rebuilt.per_node == metrics.per_node
+    assert rebuilt.phase_awake == metrics.phase_awake
+    assert rebuilt.phase_rounds == metrics.phase_rounds
+    assert rebuilt.decay_histogram == metrics.decay_histogram
+    assert rebuilt.total_rounds == metrics.total_rounds

@@ -1,15 +1,15 @@
-from sleepcolor.rng import MASK64, NodeRng, derive_seed, mix64, node_rng
+from sleepcolor.rng import MASK64, NodeRng, derive_seed, mix64
 
 
 def test_same_seed_and_id_repeat_identically():
-    a = node_rng(12345, 7)
-    b = node_rng(12345, 7)
+    a = NodeRng(12345, 7)
+    b = NodeRng(12345, 7)
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
 
 def test_distinct_ids_decorrelate():
-    a = node_rng(999, 1)
-    b = node_rng(999, 2)
+    a = NodeRng(999, 1)
+    b = NodeRng(999, 2)
     draws_a = [a.next_u64() for _ in range(64)]
     draws_b = [b.next_u64() for _ in range(64)]
     assert draws_a != draws_b
@@ -18,20 +18,20 @@ def test_distinct_ids_decorrelate():
 
 
 def test_bernoulli_mean_within_chernoff_band():
-    rng = node_rng(2024, 0)
+    rng = NodeRng(2024, 0)
     heads = sum(rng.coin() for _ in range(1_000_000))
     assert 0.497 <= heads / 1_000_000 <= 0.503
 
 
 def test_randrange_bounds_and_determinism():
-    rng = node_rng(5, 5)
+    rng = NodeRng(5, 5)
     draws = [rng.randrange(7) for _ in range(1000)]
     assert all(0 <= d < 7 for d in draws)
     assert set(draws) == set(range(7))
 
 
 def test_uniform01_range():
-    rng = node_rng(11, 3)
+    rng = NodeRng(11, 3)
     xs = [rng.uniform01() for _ in range(1000)]
     assert all(0.0 <= x < 1.0 for x in xs)
 

@@ -2,15 +2,7 @@ import pytest
 
 from sleepcolor.errors import ProgramError, RunIncomplete
 from sleepcolor.graph import build_graph
-from sleepcolor.simcore import (
-    AWAKE,
-    SLEEPING,
-    TERMINATED,
-    Action,
-    Trace,
-    deliverable,
-    run_simulation,
-)
+from sleepcolor.simcore import Action, Trace, run_simulation
 
 
 class Scripted:
@@ -30,14 +22,6 @@ class Scripted:
         act = script[min(st["step"], len(script) - 1)]
         st["step"] += 1
         return act(ctx) if callable(act) else act
-
-
-def test_deliverable_truth_table():
-    assert deliverable(AWAKE, AWAKE) is True
-    assert deliverable(AWAKE, SLEEPING) is False
-    assert deliverable(SLEEPING, AWAKE) is False
-    assert deliverable(TERMINATED, AWAKE) is False
-    assert deliverable(AWAKE, TERMINATED) is False
 
 
 def test_single_node_immediate_terminate():
