@@ -24,7 +24,6 @@ from .simcore import (
     Action,
     SimulationResult,
     Trace,
-    default_round_cap,
     run_simulation,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "aggregate",
     "build_graph",
     "collect",
-    "default_round_cap",
     "generate",
     "kernel_backend",
     "make_default_instance",

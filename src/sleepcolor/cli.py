@@ -6,8 +6,9 @@ Subcommands:
   scaling  run a size sweep and fit awake complexity against log2 log2 n
   oracle   exact single-iteration adoption probabilities (tiny instances)
 
-Exit codes: 0 all runs valid and complete, 1 usage/instance errors,
-2 when a run hit its round cap.  Errors go to stderr prefixed "error:".
+Exit codes: 0 all runs valid, 1 usage/instance errors, 2 when a phase
+overran its own schedule (an internal invariant).  Errors go to stderr
+prefixed "error:".
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ def build_parser() -> _Parser:
                        help="degree threshold for phase 2 (default: polylog, usually > n)")
         p.add_argument("--phase2-cap", type=int, default=40,
                        help="phase-2 iteration cap")
-        p.add_argument("--round-cap", type=int, help="global round cap override")
 
     p_run = sub.add_parser("run", help="run the pipeline over a seed sweep")
     add_common(p_run)
@@ -83,11 +83,10 @@ def _config_from_args(args, seed: int) -> PipelineConfig:
         phase2_degree_threshold=args.phase2_threshold,
         phase2_iteration_cap=args.phase2_cap,
         seed=seed,
-        round_cap=args.round_cap,
     )
 
 
-def _instance_for(args, seed: int):
+def _instance_for(args, family, n, param, seed: int):
     """(family label, param, instance) for one run."""
     if args.instance:
         try:
@@ -95,52 +94,39 @@ def _instance_for(args, seed: int):
         except OSError as exc:
             raise InstanceError(f"cannot read {args.instance}: {exc}") from None
         return "file", None, inst
-    if not args.family or not args.n:
+    if not family or not n:
         raise UsageError("need --family and --n (or --instance)")
-    graph = generate(args.family, args.n, seed, args.param)
-    return args.family, args.param, make_default_instance(graph)
+    graph = generate(family, n, seed, param)
+    return family, param, make_default_instance(graph)
 
 
-def _sweep(args, n_override: int | None = None, gnp_degree_param: bool = False):
-    """Run the seed sweep, returning (csv rows, metrics list, exit code)."""
+def _sweep(args, family, n, param):
+    """Run the seed sweep, returning (csv rows, metrics list, traces, exit code)."""
     rows = []
     metrics_list = []
     traces = []
     code = 0
-    saved_n, saved_param = args.n, args.param
-    if n_override is not None:
-        args.n = n_override
-        if gnp_degree_param and args.family in (None, "gnp"):
-            args.family = "gnp"
-            args.param = (saved_param if saved_param is not None else 8.0) / n_override
-    try:
-        for seed in range(args.seed_base, args.seed_base + args.seeds):
-            family, param, inst = _instance_for(args, seed)
-            n = inst.graph.node_count
-            config = _config_from_args(args, seed)
-            resolved = config.resolve(n)
-            trace = Trace() if getattr(args, "trace", None) else None
-            try:
-                _, metrics = run_pipeline(inst, config, trace=trace)
-            except RunIncomplete as exc:
-                _, metrics = exc.partial
-                code = 2
-            rows.append(metrics.csv_row(seed, family, n, param,
-                                        resolved.k1, resolved.phase2_degree_threshold))
-            metrics_list.append(metrics)
-            if trace is not None:
-                traces.append((seed, trace))
-            if not (metrics.validity == "proper_total" and metrics.complete):
-                code = max(code, 2 if not metrics.complete else 1)
-    finally:
-        args.n, args.param = saved_n, saved_param
+    for seed in range(args.seed_base, args.seed_base + args.seeds):
+        label, run_param, inst = _instance_for(args, family, n, param, seed)
+        size = inst.graph.node_count
+        config = _config_from_args(args, seed)
+        resolved = config.resolve(size)
+        trace = Trace() if getattr(args, "trace", None) else None
+        _, metrics = run_pipeline(inst, config, trace=trace)
+        rows.append(metrics.csv_row(seed, label, size, run_param,
+                                    resolved.k1, resolved.phase2_degree_threshold))
+        metrics_list.append(metrics)
+        if trace is not None:
+            traces.append((seed, trace))
+        if metrics.validity != "proper_total":
+            code = 1
     return rows, metrics_list, traces, code
 
 
 def cmd_run(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    rows, _metrics, traces, code = _sweep(args)
+    rows, _metrics, traces, code = _sweep(args, args.family, args.n, args.param)
     header = _config_from_args(args, args.seed_base).kv_block()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -186,9 +172,14 @@ def cmd_scaling(args) -> int:
 
     all_rows = []
     xs, worst_max, avg_mean = [], [], []
+    family = args.family or "gnp"
     code = 0
     for n in sizes:
-        rows, metrics, _traces, c = _sweep(args, n_override=n, gnp_degree_param=True)
+        # gnp's --param is the expected degree here, so p = param / n
+        param = args.param
+        if family == "gnp":
+            param = (param if param is not None else 8.0) / n
+        rows, metrics, _traces, c = _sweep(args, family, n, param)
         code = max(code, c)
         all_rows.extend(rows)
         summary = aggregate(metrics)

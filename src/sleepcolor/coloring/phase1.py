@@ -27,7 +27,6 @@ ADOPT = "adopt"
 class Phase1State:
     remaining: list[int]
     proposal: int = 0
-    iteration: int = 1
     proposing: bool = True
 
 
@@ -67,7 +66,6 @@ class Phase1Program:
                 terminate=True,
                 output=st.proposal,
             )
-        st.iteration += 1
         st.proposing = True
         return Action()
 
@@ -98,22 +96,19 @@ def run_phase1(
     iterations: int,
     seed: int,
     trace: Trace | None = None,
-    round_cap: int | None = None,
 ) -> PhaseOutcome:
-    """Run phase 1 and extract the residual instance.
+    """Run phase 1 for its 2*iterations rounds and extract the residual.
 
     Survivors' buffered adoption messages from the final resolve round are
     folded into their lists here; in a longer run they would consume them
-    at their next awake round.  A `round_cap` below 2*iterations truncates
-    the phase (used when the global pipeline cap is that tight).
+    at their next awake round.
     """
-    cap = 2 * iterations if round_cap is None else min(2 * iterations, round_cap)
     result = run_simulation(
         instance.graph,
         Phase1Program(iterations),
         inputs=instance.lists,
         seed=seed,
-        round_cap=max(1, cap),
+        round_cap=2 * iterations,
         trace=trace,
         on_incomplete="return",
     )

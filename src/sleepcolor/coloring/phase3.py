@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AlgorithmInvariantViolation
-from ..graph import ColoringInstance, make_instance
+from ..graph import ColoringInstance
 from ..simcore import Action, Trace, run_simulation
 from .phase1 import PhaseOutcome
 
@@ -264,8 +264,9 @@ class Phase3Program:
         st: Phase3State = ctx.state
         rnd = ctx.round
 
-        if rnd < self.prelim_round:
-            # interim reduction rounds: everyone awake, exchange colors
+        if rnd <= self.prelim_round:
+            # interim rounds: everyone awake; every round after the first
+            # applies one reduction step to the colors heard last round
             if rnd > 1:
                 q, d = self.steps[st.step_index]
                 st.step_index += 1
@@ -274,19 +275,10 @@ class Phase3Program:
                     (value for kind, value in inbox if kind == COLOR_XCHG),
                     q, d, ctx.node_id,
                 )
-            msg = (COLOR_XCHG, st.interim)
-            return Action(sends={u: msg for u in ctx.neighbors})
-
-        if rnd == self.prelim_round:
-            # final reduction step (if any), then the preliminary exchange
-            if self.steps:
-                q, d = self.steps[st.step_index]
-                st.step_index += 1
-                st.interim = linial_step(
-                    st.interim,
-                    (value for kind, value in inbox if kind == COLOR_XCHG),
-                    q, d, ctx.node_id,
-                )
+            if rnd < self.prelim_round:
+                msg = (COLOR_XCHG, st.interim)
+                return Action(sends={u: msg for u in ctx.neighbors})
+            # the last interim round is the preliminary exchange
             self._plan(ctx, st)
             msg = (FINAL_INTERIM, st.interim)
             return self._gap_action(
@@ -343,25 +335,26 @@ def interim_palette(residual: ColoringInstance) -> tuple[list[tuple[int, int]], 
 def run_phase3(
     residual: ColoringInstance,
     trace: Trace | None = None,
-    round_cap: int | None = None,
 ) -> PhaseOutcome:
-    """Run phase 3 on a residual instance."""
+    """Run phase 3 on a residual instance, capped at its own schedule.
+
+    Every node terminates by the last tournament slot, round interim
+    rounds + 2C - 1; a node still running then raises RunIncomplete from
+    run_simulation.
+    """
     steps, classes = interim_palette(residual)
     program = Phase3Program(steps, classes)
-    needed = program.prelim_round + tournament_slot_count(classes) + 1
-    cap = needed if round_cap is None else min(needed, round_cap)
     result = run_simulation(
         residual.graph,
         program,
         inputs=residual.lists,
         seed=0,                      # fully deterministic; streams unused
-        round_cap=cap,
+        round_cap=program.prelim_round + tournament_slot_count(classes),
         trace=trace,
-        on_incomplete="return",
     )
     return PhaseOutcome(
         colors=dict(result.outputs),
-        residual=None if result.complete else _leftover(residual, result),
+        residual=None,
         awake_rounds=result.awake_rounds,
         termination_round={v: r for v, r in result.termination_round.items()
                            if r is not None},
@@ -370,13 +363,5 @@ def run_phase3(
             "classes": classes,
             "reduction_steps": len(steps),
             "interim_rounds": program.prelim_round,
-            "complete": result.complete,
         },
-    )
-
-
-def _leftover(residual: ColoringInstance, result) -> ColoringInstance:
-    left = sorted(result.final_states)
-    return make_instance(
-        residual.graph.induced(left), {v: residual.lists[v] for v in left}
     )

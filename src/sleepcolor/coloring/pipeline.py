@@ -8,10 +8,12 @@ what lets every node compute them locally:
             threshold is reachable at all (threshold <= n-1 and cap >= 1);
             the window passes silently when no node is above the threshold
   phase 3   starts right after the phase-2 window (or after phase 1 when
-            no window is scheduled) and runs until every node terminated
+            no window is scheduled) and runs at most its own schedule,
+            interim rounds + 2C - 1 (C = phase-3 interim classes)
 
-The output is Las Vegas: whenever the pipeline completes, the coloring is
-proper and every node's color comes from its original list.
+These schedules are the only round bound.  The output is Las Vegas: every
+run that returns has a proper coloring in which every node's color comes
+from its original list.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ..errors import RunIncomplete
 from ..graph import Coloring, ColoringInstance
 from ..metrics import RunMetrics, validity_verdict
 from ..rng import derive_seed
-from ..simcore import Trace, default_round_cap
+from ..simcore import Trace
 from .phase1 import run_phase1
 from .phase2 import run_phase2
 from .phase3 import run_phase3
@@ -59,7 +60,6 @@ class PipelineConfig:
     phase2_degree_threshold: int | None = None
     phase2_iteration_cap: int = 40
     seed: int = 0
-    round_cap: int | None = None
 
     def resolve(self, n: int) -> "PipelineConfig":
         """Fill the size-dependent defaults for an n-node instance."""
@@ -71,7 +71,6 @@ class PipelineConfig:
                 if self.phase2_degree_threshold is not None
                 else default_phase2_threshold(n)
             ),
-            round_cap=self.round_cap if self.round_cap is not None else default_round_cap(n),
         )
 
     def phase2_scheduled(self, n: int) -> bool:
@@ -95,7 +94,6 @@ class PipelineConfig:
             f"{self.phase2_degree_threshold if self.phase2_degree_threshold is not None else 'auto'}",
             f"phase2_iteration_cap={self.phase2_iteration_cap}",
             f"seed={self.seed}",
-            f"round_cap={self.round_cap if self.round_cap is not None else 'auto'}",
         ]
 
 
@@ -106,8 +104,8 @@ def run_pipeline(
 ) -> tuple[Coloring, RunMetrics]:
     """Run all phases on an admissible instance.
 
-    Raises RunIncomplete (carrying the partial coloring and metrics) if the
-    global round cap cuts the run short.
+    Raises RunIncomplete if phase 3 overruns its own schedule, which an
+    admissible instance never causes.
     """
     graph = instance.graph
     n = graph.node_count
@@ -115,7 +113,7 @@ def run_pipeline(
     s2, s3 = config.phase_boundaries(n)
 
     awake: dict[int, int] = {v: 0 for v in graph.nodes}
-    termination: dict[int, int | None] = {v: None for v in graph.nodes}
+    termination: dict[int, int] = {}
     phase_of: dict[int, int] = {}
     phase_awake = {1: 0, 2: 0, 3: 0}
     phase_rounds = {1: 0, 2: 0, 3: 0}
@@ -133,54 +131,41 @@ def run_pipeline(
 
     if trace is not None:
         trace.round_offset = 0
-    p1 = run_phase1(
-        instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT),
-        trace=trace, round_cap=cfg.round_cap,
-    )
+    p1 = run_phase1(instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT), trace=trace)
     fold(p1, 1, 0)
     residual = p1.residual
     decay = _decay_histogram(p1, cfg.k1)
 
     phase2_incomplete = False
-    if residual is not None and config.phase2_scheduled(n) and cfg.round_cap > s2:
-        iteration_budget = min(cfg.phase2_iteration_cap, (cfg.round_cap - s2) // 2)
-        if iteration_budget >= 1:
-            if trace is not None:
-                trace.round_offset = s2
-            p2 = run_phase2(
-                residual,
-                cfg.phase2_degree_threshold,
-                iteration_budget,
-                derive_seed(cfg.seed, _PHASE2_SALT),
-                trace=trace,
-            )
-            fold(p2, 2, s2)
-            residual = p2.residual
-            phase2_incomplete = bool(p2.extra.get("incomplete"))
+    if residual is not None and config.phase2_scheduled(n):
+        if trace is not None:
+            trace.round_offset = s2
+        p2 = run_phase2(
+            residual,
+            cfg.phase2_degree_threshold,
+            cfg.phase2_iteration_cap,
+            derive_seed(cfg.seed, _PHASE2_SALT),
+            trace=trace,
+        )
+        fold(p2, 2, s2)
+        residual = p2.residual
+        phase2_incomplete = bool(p2.extra.get("incomplete"))
 
-    complete = residual is None
     phase3_classes = 0
-    if residual is not None and cfg.round_cap > s3:
+    if residual is not None:
         if trace is not None:
             trace.round_offset = s3
-        p3 = run_phase3(residual, trace=trace, round_cap=cfg.round_cap - s3)
+        p3 = run_phase3(residual, trace=trace)
         fold(p3, 3, s3)
         phase3_classes = p3.extra["classes"]
-        complete = p3.extra["complete"]
-        residual = p3.residual
 
     coloring = Coloring(dict(assignment))
-    total_rounds = max(
-        (r for r in termination.values() if r is not None), default=0
-    )
-    if not complete:
-        # survivors are conceptually still running when the cap hits
-        total_rounds = max(total_rounds, cfg.round_cap)
+    total_rounds = max(termination.values(), default=0)
 
     verdict = validity_verdict(instance, coloring.assignment)
     metrics = RunMetrics(
         per_node={
-            v: (awake[v], termination[v], phase_of.get(v)) for v in graph.nodes
+            v: (awake[v], termination[v], phase_of[v]) for v in graph.nodes
         },
         worst_case_awake=max(awake.values()),
         average_awake=Fraction(sum(awake.values()), n),
@@ -188,17 +173,10 @@ def run_pipeline(
         decay_histogram=decay,
         validity=verdict,
         phase2_incomplete=phase2_incomplete,
-        complete=complete,
         phase_awake=phase_awake,
         phase_rounds=phase_rounds,
         phase3_classes=phase3_classes,
     )
-    if not complete:
-        raise RunIncomplete(
-            f"pipeline hit the round cap ({cfg.round_cap}) with "
-            f"{len(coloring.uncolored_nodes(graph))} uncolored nodes",
-            partial=(coloring, metrics),
-        )
     return coloring, metrics
 
 

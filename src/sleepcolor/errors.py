@@ -24,10 +24,10 @@ class ProgramError(SleepColorError):
 
 
 class RunIncomplete(SleepColorError):
-    """The round cap was reached with non-terminated nodes.
+    """A simulation reached its round cap with non-terminated nodes.
 
-    Carries whatever partial result the caller produced so far (a
-    SimulationResult or a (coloring, metrics) pair depending on the layer).
+    In the pipeline this means a phase overran its own schedule, an
+    internal invariant.  `partial` is the capped SimulationResult.
     """
 
     def __init__(self, message, partial=None):

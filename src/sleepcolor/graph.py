@@ -151,9 +151,6 @@ class Coloring:
     def color(self, v: int) -> int:
         return self.assignment.get(v, UNCOLORED)
 
-    def uncolored_nodes(self, graph: Graph) -> list[int]:
-        return [v for v in graph.nodes if self.color(v) == UNCOLORED]
-
 
 # ---------------------------------------------------------------------------
 # generators

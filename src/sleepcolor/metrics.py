@@ -51,15 +51,14 @@ def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) 
 class RunMetrics:
     """Per-run complexity measurements and verdicts."""
 
-    per_node: dict[int, tuple[int, int | None, int | None]]
-    # node -> (awake rounds, termination round or None, phase terminated in)
+    per_node: dict[int, tuple[int, int, int]]
+    # node -> (awake rounds, termination round, phase terminated in)
     worst_case_awake: int
     average_awake: Fraction
     total_rounds: int
     decay_histogram: dict[int, int]
     validity: str
     phase2_incomplete: bool
-    complete: bool = True
     phase_awake: dict[int, int] = field(default_factory=dict)
     phase_rounds: dict[int, int] = field(default_factory=dict)
     phase3_classes: int = 0
@@ -79,7 +78,7 @@ class RunMetrics:
              str(self.worst_case_awake),
              f"{avg.numerator / avg.denominator:.6f}",
              str(self.total_rounds),
-             "1" if (self.validity == PROPER_TOTAL and self.complete) else "0",
+             "1" if self.validity == PROPER_TOTAL else "0",
              "1" if self.phase2_incomplete else "0"]
             + [str(x) for x in xs]
         )
@@ -99,11 +98,12 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
     An independent accounting path: node lines give awake counts and
     termination rounds, the configured phase boundaries attribute rounds to
     phases, and validity comes from re-scanning the coloring against the
-    instance.  Raises InternalError when the trace and coloring disagree.
+    instance.  Raises InternalError when the trace and coloring disagree or
+    a node never terminated: a run that returned is always complete.
     """
     n = instance.graph.node_count
     s2, s3 = config.phase_boundaries(n)
-    cfg = config.resolve(n)
+    k1 = config.resolve(n).k1
 
     awake = {v: 0 for v in instance.graph.nodes}
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
@@ -116,11 +116,10 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
                 raise InternalError(f"node {v} terminated twice in trace")
             term[v] = rnd
 
+    for v, r in term.items():
+        if r is None:
+            raise InternalError(f"node {v} never terminated in trace")
     assignment = coloring.assignment if hasattr(coloring, "assignment") else coloring
-    for v in instance.graph.nodes:
-        colored = assignment.get(v, UNCOLORED) != UNCOLORED
-        if colored and term[v] is None:
-            raise InternalError(f"node {v} colored but never terminated in trace")
 
     def phase_for(rnd: int) -> int:
         if rnd <= s2:
@@ -129,12 +128,9 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
             return 2
         return 3
 
-    decay = {i: 0 for i in range(1, cfg.k1 + 1)}
-    phase_of: dict[int, int | None] = {}
+    decay = {i: 0 for i in range(1, k1 + 1)}
+    phase_of: dict[int, int] = {}
     for v, r in term.items():
-        if r is None:
-            phase_of[v] = None
-            continue
         phase_of[v] = phase_for(r)
         if r <= s2:
             decay[(r + 1) // 2] += 1
@@ -147,19 +143,14 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
         base = 0 if p == 1 else (s2 if p == 2 else s3)
         phase_rounds[p] = max(phase_rounds[p], rnd - base)
 
-    complete = all(r is not None for r in term.values())
-    total_rounds = max((r for r in term.values() if r is not None), default=0)
-    if not complete:
-        total_rounds = max(total_rounds, cfg.round_cap)
     return RunMetrics(
         per_node={v: (awake[v], term[v], phase_of[v]) for v in instance.graph.nodes},
         worst_case_awake=max(awake.values()),
         average_awake=Fraction(sum(awake.values()), n),
-        total_rounds=total_rounds,
+        total_rounds=max(term.values(), default=0),
         decay_histogram=decay,
         validity=validity_verdict(instance, assignment),
         phase2_incomplete=False,   # not derivable from the trace; caller's concern
-        complete=complete,
         phase_awake=phase_awake,
         phase_rounds=phase_rounds,
     )
@@ -197,9 +188,7 @@ def aggregate(runs: Iterable[RunMetrics]) -> dict:
             "p50": nearest_rank(values, 0.50),
             "p95": nearest_rank(values, 0.95),
         }
-    out["all_valid"] = all(
-        m.validity == PROPER_TOTAL and m.complete for m in runs
-    )
+    out["all_valid"] = all(m.validity == PROPER_TOTAL for m in runs)
     return out
 
 

@@ -24,7 +24,6 @@ it is awake, including its terminating round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Mapping
@@ -32,12 +31,6 @@ from typing import Any, Callable, Mapping
 from .errors import ProgramError, RunIncomplete
 from .graph import Graph
 from .rng import NodeRng
-
-def default_round_cap(n: int) -> int:
-    """A cap comfortably above the pipeline's polylog round bound."""
-    if n < 2:
-        return 100
-    return int(10 * math.log2(n) ** 14) + 100
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import os
 import subprocess
 import sys
 
+import sleepcolor
 from sleepcolor.cli import fit_line, main
+from sleepcolor.coloring import phase3
 from sleepcolor.graph import build_graph, make_instance, write_instance
 
 
@@ -52,17 +55,14 @@ def test_run_gnp_row_count(tmp_path, capsys):
     assert len(rows) == 5
 
 
-def test_run_round_cap_exit_two(tmp_path, capsys):
-    out = tmp_path / "rc.csv"
+def test_run_phase_overrun_exits_two(monkeypatch, capsys):
+    real = phase3.tournament_slot_count
+    monkeypatch.setattr(phase3, "tournament_slot_count", lambda c: real(c) - 1)
     code, _, err = run_cli(
-        ["run", "--family", "clique", "--n", "24", "--seeds", "2",
-         "--round-cap", "2", "--out", str(out)], capsys,
+        ["run", "--family", "clique", "--n", "24", "--seeds", "2"], capsys,
     )
     assert code == 2
-    rows = [l for l in out.read_text().splitlines()
-            if l and not l.startswith("#")][1:]
-    assert len(rows) == 2
-    assert all(row.split(",")[9] == "0" for row in rows)
+    assert err.startswith("error: incomplete:")
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -147,10 +147,13 @@ def test_fit_line_exact():
 
 
 def test_console_entrypoint_subprocess(tmp_path):
+    # the child imports the same sleepcolor, installed or not
+    src = os.path.dirname(os.path.dirname(sleepcolor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "sleepcolor.cli", "run", "--family", "path",
          "--n", "8", "--seeds", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1].count(",") == 22

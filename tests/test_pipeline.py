@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sleepcolor.coloring import PipelineConfig, run_pipeline
+from sleepcolor.coloring import PipelineConfig, phase3, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
-from sleepcolor.metrics import collect, validity_verdict
+from sleepcolor.metrics import collect
 from sleepcolor.simcore import Trace
 
 
@@ -23,7 +23,7 @@ def test_k3_seed_sweep_always_proper_total():
     inst = make_default_instance(generate("clique", 3, seed=0))
     for seed in range(1000):
         coloring, metrics = run_pipeline(inst, PipelineConfig(seed=seed))
-        assert metrics.validity == "proper_total" and metrics.complete
+        assert metrics.validity == "proper_total"
         assert all(coloring.assignment[v] in inst.lists[v] for v in inst.graph.nodes)
 
 
@@ -70,15 +70,14 @@ def test_phase_windows_respected():
             assert term > s3
 
 
-def test_round_cap_propagates_run_incomplete():
-    g = generate("gnp", 64, seed=2, param=0.2)
-    inst = make_default_instance(g)
+def test_phase3_schedule_overrun_raises_run_incomplete(monkeypatch):
+    # one tournament slot short: the last class cannot reach its leaf round
+    real = phase3.tournament_slot_count
+    monkeypatch.setattr(phase3, "tournament_slot_count", lambda c: real(c) - 1)
+    inst = make_default_instance(generate("gnp", 64, seed=3, param=0.2))
     with pytest.raises(RunIncomplete) as err:
-        run_pipeline(inst, PipelineConfig(seed=2, round_cap=3))
-    coloring, metrics = err.value.partial
-    assert not metrics.complete
-    assert metrics.total_rounds == 3
-    assert validity_verdict(inst, coloring.assignment) in ("proper_partial", "proper_total")
+        run_pipeline(inst, PipelineConfig(seed=1, k1=1))
+    assert not err.value.partial.complete
 
 
 def test_forced_phase2_window_and_phase3_offsets():
@@ -131,6 +130,19 @@ def test_collect_detects_trace_coloring_mismatch():
         collect(trace, {1: corrupted.get(1, 0), 0: 5}, inst, cfg)
 
 
+def test_collect_rejects_a_node_that_never_terminated():
+    # an uncolored node without a term event: a run that never finished
+    inst = make_default_instance(generate("gnp", 40, seed=2, param=0.15))
+    cfg = PipelineConfig(seed=2)
+    trace = Trace()
+    coloring, _ = run_pipeline(inst, cfg, trace=trace)
+    trace.node_events = [e for e in trace.node_events
+                         if not (e[1] == 0 and e[2] == "term")]
+    partial = {v: c for v, c in coloring.assignment.items() if v != 0}
+    with pytest.raises(InternalError, match="node 0 never terminated"):
+        collect(trace, partial, inst, cfg)
+
+
 def test_empty_graph_pipeline():
     from sleepcolor.coloring import default_k1
 
@@ -171,7 +183,7 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     cfg = PipelineConfig(k1=k1, phase2_degree_threshold=threshold, seed=seed)
     trace = Trace()
     coloring, metrics = run_pipeline(inst, cfg, trace=trace)
-    assert metrics.validity == "proper_total" and metrics.complete
+    assert metrics.validity == "proper_total"
     colors = coloring.assignment
     assert all(colors[v] in inst.lists[v] for v in inst.graph.nodes)
     assert all(colors[u] != colors[v] for u, v in inst.graph.edges())

@@ -224,10 +224,3 @@ def test_no_causality_leak_from_undelivered_messages():
     run_simulation(g, Alternator(), None, seed=1, round_cap=40)
     # node 0 awake rounds: 1, 3, 5, 7, 9, 11 -> consumes 1,3,5,7,9 one call later
     assert consumed == [1, 3, 5, 7, 9]
-
-
-def test_default_round_cap_monotone():
-    from sleepcolor.simcore import default_round_cap
-
-    assert default_round_cap(1) == 100
-    assert default_round_cap(4) < default_round_cap(4096)
