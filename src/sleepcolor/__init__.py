@@ -29,7 +29,7 @@ from .simcore import (
 
 __version__ = "0.1.0"
 
-# The Monte Carlo kernel is plain Python; perfbench records this name.
+# The phase-1 kernel is plain Python; perfbench records this name.
 kernel_backend = "pure"
 
 __all__ = [

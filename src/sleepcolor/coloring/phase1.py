@@ -9,12 +9,17 @@ adopts it, announces the adoption, and terminates in the same round.
 Adoption announcements land in the neighbors' buffers and are pruned from
 their lists at the start of the next propose round, so probabilities are
 always computed over the current list.
+
+`run_phase1` runs this on node positions (`_kernels.phase1_run`).
+`simulate_phase1` runs `Phase1Program` through the round engine; it is the
+reference the kernel must match bit for bit, trace included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import _kernels
 from ..errors import AlgorithmInvariantViolation
 from ..graph import ColoringInstance, make_instance
 from ..simcore import Action, Trace, run_simulation
@@ -97,7 +102,30 @@ def run_phase1(
     seed: int,
     trace: Trace | None = None,
 ) -> PhaseOutcome:
-    """Run phase 1 for its 2*iterations rounds and extract the residual.
+    """Run phase 1 for at most 2*iterations rounds and extract the residual.
+
+    The run goes through `_kernels.phase1_run`, which gives the same
+    outcome and trace as `simulate_phase1`, the round engine's run.
+    """
+    colors, awake, term, rounds, lists = _kernels.phase1_run(
+        instance, iterations, seed, trace=trace
+    )
+    return PhaseOutcome(
+        colors=colors,
+        residual=_residual(instance, lists),
+        awake_rounds=awake,
+        termination_round=term,
+        rounds_executed=rounds,
+    )
+
+
+def simulate_phase1(
+    instance: ColoringInstance,
+    iterations: int,
+    seed: int,
+    trace: Trace | None = None,
+) -> PhaseOutcome:
+    """Phase 1 driven by the round engine: the reference `run_phase1` matches.
 
     Survivors' buffered adoption messages from the final resolve round are
     folded into their lists here; in a longer run they would consume them
@@ -112,16 +140,19 @@ def run_phase1(
         trace=trace,
         on_incomplete="return",
     )
-    lists = survivor_lists(result)
-    residual = None
-    if lists:
-        residual = make_instance(instance.graph.induced(lists), lists)
     return PhaseOutcome(
         colors=dict(result.outputs),
-        residual=residual,
+        residual=_residual(instance, survivor_lists(result)),
         awake_rounds=result.awake_rounds,
         termination_round={
             v: r for v, r in result.termination_round.items() if r is not None
         },
         rounds_executed=result.rounds_executed,
     )
+
+
+def _residual(instance: ColoringInstance, lists) -> ColoringInstance | None:
+    """The survivors' instance with their pruned lists, or None if none survive."""
+    if not lists:
+        return None
+    return make_instance(instance.graph.induced(lists), lists)

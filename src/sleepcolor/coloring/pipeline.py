@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ..errors import UsageError
 from ..graph import Coloring, ColoringInstance
 from ..metrics import RunMetrics, validity_verdict
 from ..rng import derive_seed
@@ -62,7 +63,15 @@ class PipelineConfig:
     seed: int = 0
 
     def resolve(self, n: int) -> "PipelineConfig":
-        """Fill the size-dependent defaults for an n-node instance."""
+        """Fill the size-dependent defaults for an n-node instance.
+
+        Raises UsageError for a phase-1 budget that cannot run: k1 < 1 or a
+        non-finite k1_coefficient.
+        """
+        if self.k1 is not None and self.k1 < 1:
+            raise UsageError(f"k1 must be >= 1, got {self.k1}")
+        if not math.isfinite(self.k1_coefficient):
+            raise UsageError(f"k1_coefficient must be finite, got {self.k1_coefficient}")
         return replace(
             self,
             k1=self.k1 if self.k1 is not None else default_k1(n, self.k1_coefficient),

@@ -44,7 +44,10 @@ class AlgorithmInvariantViolation(SleepColorError):
 
 
 class UsageError(SleepColorError):
-    """Bad command-line usage or aggregation over an empty input."""
+    """Bad command-line usage or an unusable pipeline configuration.
+
+    Also raised for aggregation over an empty input.
+    """
 
 
 class InternalError(SleepColorError):

@@ -3,8 +3,9 @@
 Every node in a simulation draws from its own SplitMix64 stream seeded by
 (global seed, node id) only, so results never depend on scheduling order
 and any single node's draws can be reproduced in isolation.  The same
-integer-only recurrence is inlined by the Monte Carlo kernel (`_kernels`),
-which lets the kernel and the engine be compared bit for bit.
+integer-only recurrence is inlined by the phase-1 kernel (`_kernels`), which
+runs phase 1 for the pipeline and the Monte Carlo check; that lets the
+kernel and the engine be compared bit for bit.
 """
 
 from __future__ import annotations

@@ -2,15 +2,19 @@
 
 These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
-properness scan instead of the in-memory one) so that agreement between
-the two is meaningful.
+properness scan instead of the in-memory one, the round engine instead of
+the phase-1 kernel) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from sleepcolor.coloring import interim_palette, linial_step
+from sleepcolor.coloring.phase1 import PhaseOutcome, run_phase1, simulate_phase1
 from sleepcolor.graph import ColoringInstance, make_instance, read_instance
 from sleepcolor.rng import NodeRng
+from sleepcolor.simcore import Trace
 
 
 def greedy_by_class(instance: ColoringInstance, interim: dict[int, int]) -> dict[int, int]:
@@ -64,3 +68,20 @@ def random_residual_instance(trial: int, max_n: int = 60) -> ColoringInstance:
         size = graph.degree(v) + 1 + extra
         lists[v] = tuple(start + step * i for i in range(size))
     return make_instance(graph, lists)
+
+
+def assert_same_phase1(instance: ColoringInstance, iterations: int, seed: int) -> None:
+    """`run_phase1` (the kernel) and `simulate_phase1` (the engine) agree.
+
+    Every `PhaseOutcome` field, the colors' order, the trace events and the
+    rendered trace at a nonzero round offset must be identical.
+    """
+    kernel_trace, engine_trace = Trace(round_offset=7), Trace(round_offset=7)
+    kernel = run_phase1(instance, iterations, seed, trace=kernel_trace)
+    engine = simulate_phase1(instance, iterations, seed, trace=engine_trace)
+    for f in fields(PhaseOutcome):
+        assert getattr(kernel, f.name) == getattr(engine, f.name), f.name
+    assert list(kernel.colors) == list(engine.colors)
+    assert kernel_trace.node_events == engine_trace.node_events
+    assert kernel_trace.msg_events == engine_trace.msg_events
+    assert kernel_trace.render() == engine_trace.render()

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sleepcolor
 from sleepcolor.cli import fit_line, main
 from sleepcolor.coloring import phase3
@@ -39,6 +41,15 @@ def test_run_inadmissible_instance_exits_one(tmp_path, capsys):
 
 def test_run_missing_family_usage_error(capsys):
     code, _, err = run_cli(["run", "--n", "10"], capsys)
+    assert code == 1
+    assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"],
+                                    ["--k1-coef", "nan"], ["--k1-coef", "inf"]],
+                         ids=["k1=0", "k1=-3", "k1-coef=nan", "k1-coef=inf"])
+def test_run_unusable_phase1_budget_usage_error(budget, capsys):
+    code, _, err = run_cli(["run", "--family", "path", "--n", "8", *budget], capsys)
     assert code == 1
     assert err.startswith("error: usage:")
 

@@ -45,9 +45,14 @@ def test_kernel_matches_engine_with_arbitrary_ids_and_lists():
 def test_instance_arrays_layout():
     g = build_graph([(0, 2)], [0, 1, 2])
     inst = make_instance(g, {0: (1, 3), 1: (2,), 2: (4, 8)})
-    ids, indptr, indices, list_indptr, list_values = _kernels.instance_arrays(inst)
+    ids, neighbors, lists = _kernels.instance_arrays(inst)
     assert ids == [0, 1, 2]
-    assert indptr == [0, 1, 1, 2]
-    assert indices == [2, 0]
-    assert list_indptr == [0, 2, 3, 5]
-    assert list_values == [1, 3, 2, 4, 8]
+    assert [list(nb) for nb in neighbors] == [[2], [], [0]]
+    assert lists == [(1, 3), (2,), (4, 8)]
+    # ids other than 0..n-1 become their positions in sorted order
+    g = build_graph([(40, 5), (9, 40)], [40, 9, 5])
+    inst = make_instance(g, {5: (1, 2), 9: (3, 4), 40: (1, 3, 6)})
+    ids, neighbors, lists = _kernels.instance_arrays(inst)
+    assert ids == [5, 9, 40]
+    assert [list(nb) for nb in neighbors] == [[2], [2], [0, 1]]
+    assert lists == [(1, 2), (3, 4), (1, 3, 6)]

@@ -1,9 +1,21 @@
 import math
 
+import pytest
+
+from helpers import assert_same_phase1, random_residual_instance
 from sleepcolor import _kernels
-from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
+from sleepcolor.errors import AlgorithmInvariantViolation, SleepColorError
+from sleepcolor.graph import (
+    ColoringInstance,
+    build_graph,
+    generate,
+    make_default_instance,
+    make_instance,
+)
 from sleepcolor.coloring import run_phase1
+from sleepcolor.coloring.phase1 import simulate_phase1
 from sleepcolor.metrics import validity_verdict
+from sleepcolor.simcore import Trace
 
 
 def test_isolated_node_adopts_iff_nonzero_draw():
@@ -107,3 +119,60 @@ def test_residual_without_survivors_is_none():
         if out.residual is None:
             return
     raise AssertionError("no seed finished an edgeless 2-node instance in 40 iterations")
+
+
+@pytest.mark.parametrize("family,n,param", [
+    ("path", 40, None),
+    ("cycle", 41, None),
+    ("clique", 12, None),
+    ("star", 30, None),
+    ("regular", 64, 5),
+    ("gnp", 300, 0.03),
+    ("gnp", 4096, 8 / 4096),
+])
+def test_kernel_matches_engine_driver(family, n, param):
+    inst = make_default_instance(generate(family, n, seed=n, param=param))
+    for seed in range(3):
+        for k1 in (1, 2, 5, 40):
+            assert_same_phase1(inst, k1, seed)
+
+
+def test_kernel_matches_engine_driver_on_irregular_lists_and_large_ids():
+    for trial in range(20):
+        assert_same_phase1(random_residual_instance(trial), 1 + trial % 5, trial)
+    # ids at and past 2**63 do not fit a signed 64-bit word
+    big = [2**63, 2**64 + 5, 2**70 - 1]
+    g = build_graph([(big[0], big[1]), (big[1], big[2]), (big[2], 3)], big + [3])
+    inst = make_instance(g, {big[0]: (2, 4), big[1]: (1, 2, 4),
+                             big[2]: (4, 7, 8), 3: (7, 8)})
+    for seed in range(50):
+        assert_same_phase1(inst, 3, seed)
+
+
+def _run_or_error(run, inst, iterations, seed):
+    trace = Trace()
+    try:
+        out = run(inst, iterations, seed, trace=trace)
+    except SleepColorError as exc:
+        out = (type(exc), str(exc))
+    return out, trace.node_events, trace.msg_events
+
+
+def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
+    # ColoringInstance(...) skips make_instance's deg+1 check
+    inst = ColoringInstance(build_graph([(0, 1), (1, 2)], [0, 1, 2]),
+                            {0: (1,), 1: (1, 2), 2: (2,)})
+    emptied = 0
+    for seed in range(40):
+        kernel = _run_or_error(run_phase1, inst, 4, seed)
+        assert kernel == _run_or_error(simulate_phase1, inst, 4, seed)
+        out = kernel[0]
+        emptied += isinstance(out, tuple) and out[0] is AlgorithmInvariantViolation
+    assert emptied > 0
+    empty = ColoringInstance(build_graph([], [3, 8]), {3: (5,), 8: ()})
+    for run in (run_phase1, simulate_phase1):
+        with pytest.raises(AlgorithmInvariantViolation,
+                           match=r"node 8 ran out of colors \(inadmissible instance\?\)"):
+            run(empty, 2, 0)
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            run(inst, 0, 0)

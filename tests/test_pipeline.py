@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import assert_same_phase1
 from sleepcolor.coloring import PipelineConfig, phase3, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
@@ -193,3 +194,4 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     assert rebuilt.phase_rounds == metrics.phase_rounds
     assert rebuilt.decay_histogram == metrics.decay_histogram
     assert rebuilt.total_rounds == metrics.total_rounds
+    assert_same_phase1(inst, cfg.resolve(inst.graph.node_count).k1, seed)
