@@ -26,11 +26,8 @@ def instance_arrays(instance: ColoringInstance):
     """
     nodes = instance.graph.nodes
     adjacency = instance.graph.adjacency
-    if nodes == tuple(range(len(nodes))):
-        neighbors = [adjacency[v] for v in nodes]     # ids are positions
-    else:
-        position = {v: i for i, v in enumerate(nodes)}.__getitem__
-        neighbors = [tuple(map(position, adjacency[v])) for v in nodes]
+    position = {v: i for i, v in enumerate(nodes)}.__getitem__
+    neighbors = [tuple(map(position, adjacency[v])) for v in nodes]
     return list(nodes), neighbors, [instance.lists[v] for v in nodes]
 
 

@@ -65,16 +65,24 @@ class PipelineConfig:
     def resolve(self, n: int) -> "PipelineConfig":
         """Fill the size-dependent defaults for an n-node instance.
 
-        Raises UsageError for a phase-1 budget that cannot run: k1 < 1 or a
-        non-finite k1_coefficient.
+        Raises UsageError for a phase-1 budget that cannot run: k1 < 1, a
+        non-finite k1_coefficient, or one whose derived budget overflows.
         """
         if self.k1 is not None and self.k1 < 1:
             raise UsageError(f"k1 must be >= 1, got {self.k1}")
         if not math.isfinite(self.k1_coefficient):
             raise UsageError(f"k1_coefficient must be finite, got {self.k1_coefficient}")
+        k1 = self.k1
+        if k1 is None:
+            try:
+                k1 = default_k1(n, self.k1_coefficient)
+            except OverflowError:
+                raise UsageError(
+                    f"k1_coefficient {self.k1_coefficient} gives an infinite phase-1 budget"
+                ) from None
         return replace(
             self,
-            k1=self.k1 if self.k1 is not None else default_k1(n, self.k1_coefficient),
+            k1=k1,
             phase2_degree_threshold=(
                 self.phase2_degree_threshold
                 if self.phase2_degree_threshold is not None

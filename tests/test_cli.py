@@ -46,8 +46,10 @@ def test_run_missing_family_usage_error(capsys):
 
 
 @pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"],
-                                    ["--k1-coef", "nan"], ["--k1-coef", "inf"]],
-                         ids=["k1=0", "k1=-3", "k1-coef=nan", "k1-coef=inf"])
+                                    ["--k1-coef", "nan"], ["--k1-coef", "inf"],
+                                    ["--k1-coef", "1.5e308"]],
+                         ids=["k1=0", "k1=-3", "k1-coef=nan", "k1-coef=inf",
+                              "k1-coef=1.5e308"])
 def test_run_unusable_phase1_budget_usage_error(budget, capsys):
     code, _, err = run_cli(["run", "--family", "path", "--n", "8", *budget], capsys)
     assert code == 1
