@@ -21,14 +21,16 @@ def instance_arrays(instance: ColoringInstance):
     """Lay an instance out over node positions (the index in sorted ids).
 
     Returns (ids, neighbors, lists): node position i has id ids[i],
-    neighbor positions neighbors[i] (ascending, as the ids are) and color
+    neighbor positions neighbors[i] (the graph's own layout) and color
     list lists[i], the instance's own tuple.
     """
-    nodes = instance.graph.nodes
-    adjacency = instance.graph.adjacency
-    position = {v: i for i, v in enumerate(nodes)}.__getitem__
-    neighbors = [tuple(map(position, adjacency[v])) for v in nodes]
-    return list(nodes), neighbors, [instance.lists[v] for v in nodes]
+    g = instance.graph
+    return list(g.nodes), g.neighbors, [instance.lists[v] for v in g.nodes]
+
+
+def out_of_colors(v: int) -> AlgorithmInvariantViolation:
+    """The error every phase-1 path raises once node v's list is empty."""
+    return AlgorithmInvariantViolation(f"node {v} ran out of colors (inadmissible instance?)")
 
 
 def _streams(seed: int, salted: list[int]) -> list[int]:
@@ -101,9 +103,7 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
         if not live:
             break
         if emptied:
-            raise AlgorithmInvariantViolation(
-                f"node {ids[min(emptied)]} ran out of colors (inadmissible instance?)"
-            )
+            raise out_of_colors(ids[min(emptied)])
         adopters = propose_resolve(live, state, lists, neighbors, proposal)
         rnd += 2
         if trace is not None:
@@ -159,6 +159,9 @@ def phase1_trial_counts(
     color.
     """
     ids, neighbors, lists = instance_arrays(instance)
+    for v, lst in zip(ids, lists):
+        if not lst:
+            raise out_of_colors(v)
     n = len(ids)
     salted = [(v * _ID_SALT) & MASK64 for v in ids]
     live = range(n)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import _kernels
-from ..errors import AlgorithmInvariantViolation
 from ..graph import ColoringInstance, make_instance
 from ..simcore import Action, Trace, run_simulation
 
@@ -54,9 +53,7 @@ class Phase1Program:
                 if taken:
                     st.remaining = [c for c in st.remaining if c not in taken]
             if not st.remaining:
-                raise AlgorithmInvariantViolation(
-                    f"node {ctx.node_id} ran out of colors (inadmissible instance?)"
-                )
+                raise _kernels.out_of_colors(ctx.node_id)
             zero = ctx.rng.coin()
             idx = ctx.rng.randrange(len(st.remaining))
             st.proposal = 0 if zero else st.remaining[idx]

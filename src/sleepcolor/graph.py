@@ -3,12 +3,22 @@
 Node identifiers are arbitrary distinct non-negative integers (not
 necessarily 0..n-1).  Colors are positive integers; 0 is reserved as the
 "no color yet" sentinel used throughout the coloring pipeline.
+
+A `Graph` stores its adjacency once, over node positions: position i is
+the index of an id in the sorted `nodes`, and `neighbors[i]` lists the
+positions of its neighbors in ascending order, which is also id order.
+`build_graph` fills that layout in one pass, and the phase-1 kernel, the
+validity verdict and `induced` read it directly.  `adjacency`, the
+id-keyed view that the round engine and the node programs use, is
+derived from it on first use.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InstanceError, ParseError
@@ -20,49 +30,64 @@ UNCOLORED = 0
 _GEN_STREAM = 0x67656E                       # "gen"
 
 
-def _id_bit_size(ids: Iterable[int]) -> int:
-    return max(1, max(ids).bit_length())
+def _id_bit_size(nodes: tuple[int, ...]) -> int:
+    """Bit length of the largest of the sorted ids (1 for none or 0)."""
+    return max(1, nodes[-1].bit_length()) if nodes else 1
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph with stable integer node ids."""
+    """Immutable undirected simple graph with stable integer node ids.
+
+    Node position i is the index of id nodes[i]; neighbors[i] holds the
+    ascending positions of its neighbors, which are also in id order.
+    """
 
     nodes: tuple[int, ...]                       # sorted, distinct
-    adjacency: Mapping[int, tuple[int, ...]]     # id -> sorted neighbor ids
+    neighbors: tuple[tuple[int, ...], ...]       # position -> neighbor positions
     max_degree: int
     id_bit_size: int
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """id -> sorted neighbor ids, derived from `neighbors` on first use."""
+        nodes = self.nodes
+        return {v: tuple([nodes[j] for j in nbrs])
+                for v, nbrs in zip(nodes, self.neighbors)}
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        i = bisect_left(self.nodes, v)
+        if i == len(self.nodes) or self.nodes[i] != v:
+            raise KeyError(v)
+        return len(self.neighbors[i])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in self.nodes:
-            for v in self.adjacency[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        nodes = self.nodes
+        return [(u, nodes[j]) for i, (u, nbrs) in enumerate(zip(nodes, self.neighbors))
+                for j in nbrs if j > i]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency.values()) // 2
+        return sum(map(len, self.neighbors)) // 2
 
     def induced(self, keep: Iterable[int]) -> "Graph":
         """Subgraph induced on `keep` (ids preserved)."""
         keep_set = set(keep)
-        unknown = keep_set.difference(self.nodes)
-        if unknown:
+        old = [i for i, v in enumerate(self.nodes) if v in keep_set]
+        if len(old) != len(keep_set):
+            unknown = keep_set.difference(self.nodes)
             raise InstanceError(f"unknown node ids in induced subgraph: {sorted(unknown)}")
-        nodes = tuple(sorted(keep_set))
-        adjacency = {
-            v: tuple(u for u in self.adjacency[v] if u in keep_set) for v in nodes
-        }
-        max_degree = max((len(a) for a in adjacency.values()), default=0)
-        return Graph(nodes, adjacency, max_degree, _id_bit_size(nodes) if nodes else 1)
+        new = [-1] * len(self.nodes)             # old position -> new position
+        for k, i in enumerate(old):
+            new[i] = k
+        nodes = tuple([self.nodes[i] for i in old])
+        neighbors = tuple([tuple([new[j] for j in self.neighbors[i] if new[j] >= 0])
+                           for i in old])
+        max_degree = max(map(len, neighbors), default=0)
+        return Graph(nodes, neighbors, max_degree, _id_bit_size(nodes))
 
 
 def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
@@ -73,31 +98,34 @@ def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Gr
     """
     if not node_ids:
         raise InstanceError("a graph needs at least one node")
-    ids = list(node_ids)
-    id_set = set(ids)
-    if len(id_set) != len(ids):
+    nodes = tuple(sorted(node_ids))
+    position = {v: i for i, v in enumerate(nodes)}
+    if len(position) != len(nodes):
         raise InstanceError("duplicate node id")
-    if any(v < 0 for v in ids):
+    if nodes[0] < 0:
         raise InstanceError("node ids must be non-negative")
 
-    adj: dict[int, set[int]] = {v: set() for v in ids}
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in nodes]
     for u, v in edges:
         if u == v:
             raise InstanceError(f"self-loop at node {u}")
-        if u not in id_set or v not in id_set:
-            raise InstanceError(f"edge ({u},{v}) touches an unknown node id")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise InstanceError(f"duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        adj[u].add(v)
-        adj[v].add(u)
+        try:
+            i = position[u]
+            j = position[v]
+        except KeyError:
+            raise InstanceError(f"edge ({u},{v}) touches an unknown node id") from None
+        adj[i].append(j)
+        adj[j].append(i)
 
-    nodes = tuple(sorted(ids))
-    adjacency = {v: tuple(sorted(adj[v])) for v in nodes}
-    max_degree = max(len(a) for a in adjacency.values())
-    return Graph(nodes, adjacency, max_degree, _id_bit_size(nodes))
+    for i, nbrs in enumerate(adj):
+        nbrs.sort()
+        prev = -1
+        for j in nbrs:
+            if j == prev:                        # the first sighting has i < j
+                raise InstanceError(f"duplicate edge ({nodes[i]},{nodes[j]})")
+            prev = j
+    neighbors = tuple(map(tuple, adj))
+    return Graph(nodes, neighbors, max(map(len, neighbors)), _id_bit_size(nodes))
 
 
 @dataclass(frozen=True)
@@ -109,13 +137,13 @@ class ColoringInstance:
 
     def admissible(self) -> bool:
         g = self.graph
-        return all(len(self.lists[v]) >= g.degree(v) + 1 for v in g.nodes)
+        return all(len(self.lists[v]) > len(nbrs) for v, nbrs in zip(g.nodes, g.neighbors))
 
 
 def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringInstance:
     """Validate and normalize lists (sorted, deduplicated is an error)."""
     norm: dict[int, tuple[int, ...]] = {}
-    for v in graph.nodes:
+    for v, nbrs in zip(graph.nodes, graph.neighbors):
         if v not in lists:
             raise InstanceError(f"node {v} has no color list")
         lst = tuple(sorted(lists[v]))
@@ -123,9 +151,9 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
             raise InstanceError(f"node {v}: duplicate color in list")
         if any(c <= 0 for c in lst):
             raise InstanceError(f"node {v}: colors must be positive (0 is reserved)")
-        if len(lst) < graph.degree(v) + 1:
+        if len(lst) < len(nbrs) + 1:
             raise InstanceError(
-                f"node {v}: list of size {len(lst)} but degree {graph.degree(v)} "
+                f"node {v}: list of size {len(lst)} but degree {len(nbrs)} "
                 f"(needs at least deg+1)"
             )
         norm[v] = lst
@@ -138,7 +166,8 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
 def make_default_instance(graph: Graph) -> ColoringInstance:
     """The (deg+1)-coloring special case: node v gets the list {1, ..., deg(v)+1}."""
     return ColoringInstance(
-        graph, {v: tuple(range(1, graph.degree(v) + 2)) for v in graph.nodes}
+        graph,
+        {v: tuple(range(1, len(nbrs) + 2)) for v, nbrs in zip(graph.nodes, graph.neighbors)},
     )
 
 

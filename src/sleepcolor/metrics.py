@@ -29,21 +29,18 @@ CSV_FIELDS = _csv_fields(DECAY_COLUMNS)
 def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) -> str:
     """Exhaustive scan: list membership per node, conflict per edge, totality."""
     g = instance.graph
+    colors = [assignment.get(v, UNCOLORED) for v in g.nodes]     # by position
     total = True
-    for v in g.nodes:
-        c = assignment.get(v, UNCOLORED)
+    for v, c in zip(g.nodes, colors):
         if c == UNCOLORED:
             total = False
-            continue
-        if c not in instance.lists[v]:
+        elif c not in instance.lists[v]:
             return INVALID
-    for u in g.nodes:
-        cu = assignment.get(u, UNCOLORED)
-        if cu == UNCOLORED:
-            continue
-        for v in g.adjacency[u]:
-            if assignment.get(v, UNCOLORED) == cu:
-                return INVALID
+    for c, nbrs in zip(colors, g.neighbors):
+        if c != UNCOLORED:
+            for j in nbrs:
+                if colors[j] == c:
+                    return INVALID
     return PROPER_TOTAL if total else PROPER_PARTIAL
 
 

@@ -25,6 +25,8 @@ def choice_space(instance: ColoringInstance) -> dict[int, list[tuple[int, Fracti
     space = {}
     for v in instance.graph.nodes:
         lst = instance.lists[v]
+        if not lst:
+            raise _kernels.out_of_colors(v)
         w = Fraction(1, 2 * len(lst))
         outcomes = [(0, Fraction(1, 2))] + [(c, w) for c in lst]
         assert sum(weight for _, weight in outcomes) == 1
@@ -48,19 +50,18 @@ def exact_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fracti
     g = instance.graph
     nodes = g.nodes
     space = choice_space(instance)
-    probs = {v: Fraction(0) for v in nodes}
-    index = {v: i for i, v in enumerate(nodes)}
+    probs = [Fraction(0)] * len(nodes)
     for joint in itertools.product(*(space[v] for v in nodes)):
         weight = Fraction(1)
         for _, w in joint:
             weight *= w
-        for v in nodes:
-            cv = joint[index[v]][0]
+        for i, nbrs in enumerate(g.neighbors):
+            cv = joint[i][0]
             if cv == 0:
                 continue
-            if all(joint[index[u]][0] != cv for u in g.adjacency[v]):
-                probs[v] += weight
-    return probs
+            if all(joint[j][0] != cv for j in nbrs):
+                probs[i] += weight
+    return dict(zip(nodes, probs))
 
 
 def exact_expected_uncolored_after_one_iteration(instance: ColoringInstance) -> Fraction:

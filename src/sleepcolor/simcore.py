@@ -65,7 +65,6 @@ class NodeContext:
     neighbors: tuple[int, ...]
     rng: NodeRng
     input: Any
-    globals: Mapping[str, Any]
     state: Any = None
     round: int = 0
 
@@ -121,7 +120,6 @@ def run_simulation(
     inputs: Mapping[int, Any] | None,
     seed: int,
     round_cap: int,
-    global_inputs: Mapping[str, Any] | None = None,
     trace: Trace | None = None,
     call_order: Callable[[int, list[int]], list[int]] | None = None,
     on_incomplete: str = "raise",
@@ -136,10 +134,6 @@ def run_simulation(
     """
     if round_cap < 1:
         raise ProgramError("round_cap must be >= 1")
-    gi = dict(global_inputs or {})
-    gi.setdefault("n", graph.node_count)
-    gi.setdefault("max_degree", graph.max_degree)
-    gi.setdefault("id_bit_size", graph.id_bit_size)
 
     nodes = graph.nodes
     adjacency = graph.adjacency
@@ -151,7 +145,6 @@ def run_simulation(
             neighbors=adjacency[v],
             rng=NodeRng(seed, v),
             input=None if inputs is None else inputs.get(v),
-            globals=gi,
         )
         ctx.state = program.initial_state(ctx)
         ctxs[v] = ctx

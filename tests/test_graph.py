@@ -29,7 +29,7 @@ def test_path_of_three():
 
 
 def test_duplicate_edge_after_normalization_rejected():
-    with pytest.raises(InstanceError):
+    with pytest.raises(InstanceError, match=r"duplicate edge \(1,2\)"):
         build_graph([(1, 2), (2, 1)], [1, 2])
 
 
@@ -154,6 +154,41 @@ def test_generated_graphs_are_symmetric_with_true_max_degree(family, n, seed):
             assert u != v
             assert u in g.adjacency[v]
     assert g.max_degree == max(len(g.adjacency[v]) for v in g.nodes)
+
+
+@st.composite
+def _graph_inputs(draw):
+    """Distinct ids (some >= 2**63), a simple edge set in shuffled order with
+    random orientation, and a nonempty subset of ids to keep."""
+    ids = draw(st.lists(st.one_of(st.integers(0, 300), st.integers(2**63, 2**70)),
+                        min_size=1, max_size=12, unique=True))
+    pairs = [(u, v) for k, u in enumerate(ids) for v in ids[k + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    keep = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    return ids, edges, keep
+
+
+@given(_graph_inputs())
+def test_position_layout_matches_the_edges(inputs):
+    ids, edges, keep = inputs
+    g = build_graph(edges, ids)
+    assert g.nodes == tuple(sorted(ids))
+    position = {v: i for i, v in enumerate(g.nodes)}
+    for i, nbrs in enumerate(g.neighbors):
+        assert list(nbrs) == sorted(set(nbrs))
+        assert all(i in g.neighbors[j] for j in nbrs)
+        assert nbrs == tuple(position[u] for u in g.adjacency[g.nodes[i]])
+    normalized = sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert g.edges() == normalized and g.edge_count() == len(edges)
+    degree = {v: 0 for v in ids}
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert g.max_degree == max(degree.values())
+    kept = set(keep)
+    assert g.induced(keep) == build_graph(
+        [(u, v) for u, v in edges if u in kept and v in kept], keep)
 
 
 def test_induced_subgraph():

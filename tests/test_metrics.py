@@ -7,7 +7,13 @@ from helpers import file_level_verdict
 
 from sleepcolor.coloring import PipelineConfig, run_pipeline
 from sleepcolor.errors import UsageError
-from sleepcolor.graph import generate, make_default_instance, write_instance
+from sleepcolor.graph import (
+    build_graph,
+    generate,
+    make_default_instance,
+    make_instance,
+    write_instance,
+)
 from sleepcolor.metrics import (
     CSV_FIELDS,
     RunMetrics,
@@ -37,6 +43,14 @@ def test_validity_verdicts():
     assert validity_verdict(inst, {0: 1, 1: 2}) == "proper_partial"
     assert validity_verdict(inst, {0: 1, 1: 1, 2: 3}) == "invalid"      # conflict
     assert validity_verdict(inst, {0: 9, 1: 2, 2: 3}) == "invalid"      # off-list
+    # ids other than 0..n-1: the path 5 - 9 - big, so 5 and big may share
+    big = 2**64 + 5
+    g = build_graph([(big, 9), (9, 5)], [big, 9, 5])
+    inst = make_instance(g, {5: (1, 2), 9: (1, 2, 3), big: (1, 2)})
+    assert validity_verdict(inst, {5: 1, 9: 2, big: 1}) == "proper_total"
+    assert validity_verdict(inst, {9: 2, big: 1}) == "proper_partial"
+    assert validity_verdict(inst, {5: 1, 9: 2, big: 2}) == "invalid"    # conflict
+    assert validity_verdict(inst, {5: 3, 9: 2, big: 1}) == "invalid"    # off-list
 
 
 def test_injected_fault_detected():

@@ -15,6 +15,7 @@ from sleepcolor.graph import (
 from sleepcolor.coloring import run_phase1
 from sleepcolor.coloring.phase1 import simulate_phase1
 from sleepcolor.metrics import validity_verdict
+from sleepcolor.oracle import exact_adoption_probabilities
 from sleepcolor.simcore import Trace
 
 
@@ -170,9 +171,11 @@ def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
         emptied += isinstance(out, tuple) and out[0] is AlgorithmInvariantViolation
     assert emptied > 0
     empty = ColoringInstance(build_graph([], [3, 8]), {3: (5,), 8: ()})
-    for run in (run_phase1, simulate_phase1):
+    for run in (run_phase1, simulate_phase1, _kernels.phase1_trial_counts,
+                lambda instance, *_: exact_adoption_probabilities(instance)):
         with pytest.raises(AlgorithmInvariantViolation,
                            match=r"node 8 ran out of colors \(inadmissible instance\?\)"):
-            run(empty, 2, 0)
+            run(empty, 2, 1)
+    for run in (run_phase1, simulate_phase1):
         with pytest.raises(ValueError, match="iterations must be >= 1"):
             run(inst, 0, 0)
