@@ -4,17 +4,26 @@ Phase 1 is most of every pipeline run, and the Monte Carlo checks run
 hundreds of thousands of first phase-1 iterations.  Going through the
 round engine costs an `Action`, a sends dict and a routed message per
 node-round, so this module runs the propose/resolve iteration directly on
-node positions, bit for bit: the same SplitMix64 streams (see `rng`), the
-same draw order and the same adoption rule as `Phase1Program`.  One
-function, `propose_resolve`, is that iteration for both callers.  The
-engine stays the reference; the tests compare the two.
+node positions, bit for bit: the same SplitMix64 streams, the same draw
+order and the same adoption rule as `Phase1Program`.  The words come from
+`rng`'s lane layer, many streams per big-int operation: every live node
+takes words rnd + 1 (the coin) and rnd + 2 (the index) of its stream in the
+iteration that starts at round rnd.  One function, `propose_resolve`, is the
+iteration for both callers.  The engine stays the reference; the tests
+compare the two.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import AlgorithmInvariantViolation
 from .graph import ColoringInstance
-from .rng import _GOLDEN, _ID_SALT, MASK64, mix64
+from .rng import Lanes, pack
+
+# Lanes per packed int (about 32 KB): large enough that the per-operation
+# overhead vanishes, small enough that the ints stay in cache.
+_CHUNK = 2048
 
 
 def instance_arrays(instance: ColoringInstance):
@@ -33,36 +42,30 @@ def out_of_colors(v: int) -> AlgorithmInvariantViolation:
     return AlgorithmInvariantViolation(f"node {v} ran out of colors (inadmissible instance?)")
 
 
-def _streams(seed: int, salted: list[int]) -> list[int]:
-    """`rng.stream_state(seed, v)` for every node, given its salted id."""
-    s0 = mix64((seed & MASK64) ^ _GOLDEN)
-    return [mix64(s0 ^ x) for x in salted]
+def _draws(lanes: Lanes, states: int, counter: int) -> tuple[bytes, array]:
+    """Every lane's coin (the top bit of its stream's word `counter`) and index
+    word (word `counter + 1`)."""
+    z = lanes.advance(states, counter)
+    coins = lanes.coins(lanes.mix(z))
+    return coins, lanes.words(lanes.mix(lanes.advance(z, 1)))
 
 
-def propose_resolve(live, state, lists, neighbors, proposal) -> list[int]:
+def propose_resolve(live, coins, words, lists, neighbors, proposal) -> list[int]:
     """One phase-1 iteration over the live node positions, in `live` order.
 
-    Every live node i takes two words from its stream (`state[i]`, advanced
-    in place): the coin, then the index draw, which is taken even when the
-    coin says 0, as in `Phase1Program`.  It proposes 0 on a set top bit,
-    else lists[i][w % len(lists[i])].  Returns the positions whose proposal
+    The k-th live node i has drawn the coin coins[k] (the top bit of its
+    first word) and the index word words[k], which is taken even when the
+    coin says 0, as in `Phase1Program`.  It proposes 0 on a set coin, else
+    lists[i][words[k] % len(lists[i])].  Returns the positions whose proposal
     is nonzero and equals no neighbor's; `proposal[j]` must be 0 for every
     neighbor j that is not live, so only live neighbors can clash.
     """
-    for i in live:
-        s = (state[i] + _GOLDEN) & MASK64
-        w = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & MASK64
-        zero = (w ^ (w >> 31)) >> 63
-        s = (s + _GOLDEN) & MASK64
-        state[i] = s
+    for i, zero, w in zip(live, coins, words):
         if zero:
             proposal[i] = 0
         else:
-            w = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & MASK64
             rem = lists[i]
-            proposal[i] = rem[(w ^ (w >> 31)) % len(rem)]
+            proposal[i] = rem[w % len(rem)]
     adopters = []
     for i in live:
         p = proposal[i]
@@ -91,7 +94,11 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
         raise ValueError("iterations must be >= 1")
     ids, neighbors, lists = instance_arrays(instance)
     n = len(ids)
-    state = _streams(seed, [(v * _ID_SALT) & MASK64 for v in ids])
+    state = array("Q")
+    for lo in range(0, n, _CHUNK):
+        part = ids[lo:lo + _CHUNK]
+        lanes = Lanes(len(part))
+        state += lanes.words(lanes.stream_states((seed,), part))
     proposal = [0] * n
     alive = [True] * n
     live = list(range(n))
@@ -104,7 +111,14 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
             break
         if emptied:
             raise out_of_colors(ids[min(emptied)])
-        adopters = propose_resolve(live, state, lists, neighbors, proposal)
+        coins, words = bytearray(), array("Q")
+        for lo in range(0, len(live), _CHUNK):
+            part = [state[i] for i in live[lo:lo + _CHUNK]]
+            lanes = Lanes(len(part))
+            c, w = _draws(lanes, pack(part), rnd + 1)
+            coins += c
+            words += w
+        adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
         rnd += 2
         if trace is not None:
             _trace_iteration(trace, rnd, ids, live, adopters, neighbors, alive)
@@ -119,7 +133,10 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
                 if alive[j]:
                     rem = lists[j]
                     if c in rem:
-                        rem = lists[j] = list(filter(c.__ne__, rem))
+                        if rem.__class__ is tuple:   # still the instance's own
+                            rem = lists[j] = list(rem)
+                        while c in rem:      # every occurrence, as the engine prunes
+                            rem.remove(c)
                         if not rem:
                             emptied.append(j)
         if adopters:
@@ -163,12 +180,19 @@ def phase1_trial_counts(
         if not lst:
             raise out_of_colors(v)
     n = len(ids)
-    salted = [(v * _ID_SALT) & MASK64 for v in ids]
     live = range(n)
     proposal = [0] * n
     counts = [0] * n
-    for t in range(trials):
-        state = _streams(seed_base + t, salted)
-        for i in propose_resolve(live, state, lists, neighbors, proposal):
-            counts[i] += 1
+    per = max(1, _CHUNK // n)            # whole trials per chunk of lanes
+    lanes = Lanes(per * n)
+    for t0 in range(0, trials, per):
+        seeds = range(seed_base + t0, seed_base + min(t0 + per, trials))
+        if len(seeds) < per:
+            lanes = Lanes(len(seeds) * n)
+        coins, words = _draws(lanes, lanes.stream_states(seeds, ids), 1)
+        for lo in range(0, lanes.k, n):
+            hi = lo + n
+            for i in propose_resolve(live, coins[lo:hi], words[lo:hi], lists, neighbors,
+                                     proposal):
+                counts[i] += 1
     return {v: counts[i] for i, v in enumerate(ids)}

@@ -22,12 +22,13 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InstanceError, ParseError
-from .rng import NodeRng
+from .rng import Lanes, NodeRng, stream_state
 
 UNCOLORED = 0
 
 # role constants so generator streams never collide with node streams
 _GEN_STREAM = 0x67656E                       # "gen"
+_GNP_BATCH = 4096                            # most lanes the gnp generator draws at once
 
 
 def _id_bit_size(nodes: tuple[int, ...]) -> int:
@@ -222,16 +223,26 @@ def generate(family: str, n: int, seed: int, param: float | None = None) -> Grap
 
 
 def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
-    """G(n,p) by geometric gap-skipping over the C(n,2) pair indexes."""
+    """G(n,p) by geometric gap-skipping over the C(n,2) pair indexes.
+
+    The gaps come from one SplitMix64 stream (the generator's, see
+    `_GEN_STREAM`), word after word, each turned into a uniform in [0, 1)
+    with 53 random bits as `NodeRng.uniform01` does.  The words are drawn on
+    lanes, in batches of consecutive words sized to the expected number of
+    draws (at most `_GNP_BATCH`), so a small graph pays for few lanes.
+    """
     if not 0.0 <= p <= 1.0:
         raise InstanceError("gnp probability must be in [0,1]")
     if p == 0.0 or n < 2:
         return []
     if p == 1.0:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng = NodeRng(seed, _GEN_STREAM)
     log1p = math.log(1.0 - p)
     total = n * (n - 1) // 2
+    expected = p * total + 1                       # draws: one per edge, one past the end
+    lanes = Lanes(min(_GNP_BATCH, int(expected + 4 * math.sqrt(expected)) + 16))
+    # lane L draws words L + 1, L + 1 + k, L + 1 + 2k, ... of the stream
+    states = lanes.consecutive(stream_state(seed, _GEN_STREAM))
     edges = []
     k = -1
     # decode increasing pair ranks (i, j) incrementally: O(n + m) overall
@@ -239,18 +250,17 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     row_start = 0
     row_len = n - 1
     while True:
-        u = rng.uniform01()
-        # gap ~ Geometric(p): number of skipped pairs before the next edge
-        gap = int(math.log(1.0 - u) / log1p) if u > 0.0 else 0
-        k += 1 + gap
-        if k >= total:
-            break
-        while k - row_start >= row_len:
-            row_start += row_len
-            i += 1
-            row_len -= 1
-        edges.append((i, i + 1 + (k - row_start)))
-    return edges
+        for w in lanes.words(lanes.mix(states) >> 11):
+            # gap ~ Geometric(p): number of skipped pairs before the next edge
+            k += 1 + int(math.log(1.0 - w * 2.0 ** -53) / log1p)
+            if k >= total:
+                return edges
+            while k - row_start >= row_len:
+                row_start += row_len
+                i += 1
+                row_len -= 1
+            edges.append((i, i + 1 + (k - row_start)))
+        states = lanes.advance(states, lanes.k)
 
 
 def _regular_edges(n: int, d: int, seed: int) -> list[tuple[int, int]]:

@@ -3,16 +3,18 @@
 These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
-the phase-1 kernel) so that agreement between the two is meaningful.
+the phase-1 kernel, one scalar draw at a time instead of lanes in the gnp
+generator) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from sleepcolor.coloring import interim_palette, linial_step
 from sleepcolor.coloring.phase1 import PhaseOutcome, run_phase1, simulate_phase1
-from sleepcolor.graph import ColoringInstance, make_instance, read_instance
+from sleepcolor.graph import _GEN_STREAM, ColoringInstance, make_instance, read_instance
 from sleepcolor.rng import NodeRng
 from sleepcolor.simcore import Trace
 
@@ -85,3 +87,31 @@ def assert_same_phase1(instance: ColoringInstance, iterations: int, seed: int) -
     assert kernel_trace.node_events == engine_trace.node_events
     assert kernel_trace.msg_events == engine_trace.msg_events
     assert kernel_trace.render() == engine_trace.render()
+
+
+def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """`graph._gnp_edges` drawing one `NodeRng.uniform01` at a time."""
+    if p == 0.0 or n < 2:
+        return []
+    if p == 1.0:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng = NodeRng(seed, _GEN_STREAM)
+    log1p = math.log(1.0 - p)
+    total = n * (n - 1) // 2
+    edges = []
+    k = -1
+    i = 0
+    row_start = 0
+    row_len = n - 1
+    while True:
+        u = rng.uniform01()
+        gap = int(math.log(1.0 - u) / log1p) if u > 0.0 else 0
+        k += 1 + gap
+        if k >= total:
+            break
+        while k - row_start >= row_len:
+            row_start += row_len
+            i += 1
+            row_len -= 1
+        edges.append((i, i + 1 + (k - row_start)))
+    return edges

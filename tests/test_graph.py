@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import reference_gnp_edges
 from sleepcolor.errors import InstanceError, ParseError
 from sleepcolor.graph import (
+    _GNP_BATCH,
+    _gnp_edges,
     build_graph,
     generate,
     make_default_instance,
@@ -122,6 +125,20 @@ def test_gnp_edge_count_plausible():
 def test_gnp_extremes():
     assert generate("gnp", 50, seed=1, param=0.0).edge_count() == 0
     assert generate("gnp", 10, seed=1, param=1.0).edge_count() == 45
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000, 3000])
+def test_gnp_edges_equal_the_scalar_reference(n):
+    spans_three_batches = False
+    for p in (1e-9, 1e-3, min(1.0, 8 / n), 0.5, 0.999):
+        if p * n * (n - 1) / 2 > 50_000:          # keep every case cheap
+            continue
+        for seed in (0, 1, 2**64 - 1):
+            edges = _gnp_edges(n, p, seed)
+            assert edges == reference_gnp_edges(n, p, seed), (n, p, seed)
+            # one draw per edge and one past the last pair
+            spans_three_batches |= len(edges) + 1 > 2 * _GNP_BATCH
+    assert spans_three_batches == (n == 3000)
 
 
 def test_regular_generator():

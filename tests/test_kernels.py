@@ -1,6 +1,6 @@
 from sleepcolor import _kernels
 from sleepcolor.coloring import Phase1Program
-from sleepcolor.graph import build_graph, make_default_instance, make_instance
+from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.simcore import run_simulation
 
 
@@ -40,6 +40,23 @@ def test_kernel_matches_engine_with_arbitrary_ids_and_lists():
                              big[2]: (4, 7, 8), 3: (7, 8)})
     assert _kernels.phase1_trial_counts(inst, 77, 1000) == \
         engine_counts(inst, 77, 1000)
+
+
+def test_trial_chunks_match_engine_at_their_edges():
+    # a trial count that is not a multiple of the trials per chunk of lanes
+    inst = make_default_instance(generate("gnp", 5, seed=3, param=0.6))
+    per = _kernels._CHUNK // 5
+    assert 1000 % per != 0
+    assert _kernels.phase1_trial_counts(inst, 9, 1000) == engine_counts(inst, 9, 1000)
+    # more nodes than a chunk has lanes: one trial per chunk
+    wide = make_default_instance(build_graph([], list(range(0, 4200, 2))))
+    assert len(wide.graph.nodes) > _kernels._CHUNK
+    assert _kernels.phase1_trial_counts(wide, 5, 3) == engine_counts(wide, 5, 3)
+    # negative seeds, and seeds that wrap past 2**64 inside one chunk
+    for seed_base in (-40, 2**64 - 3):
+        assert _kernels.phase1_trial_counts(inst, seed_base, 50) == \
+            engine_counts(inst, seed_base, 50)
+    assert _kernels.phase1_trial_counts(inst, 9, 0) == {v: 0 for v in inst.graph.nodes}
 
 
 def test_instance_arrays_layout():

@@ -1,4 +1,6 @@
-from sleepcolor.rng import MASK64, NodeRng, derive_seed, mix64
+import pytest
+
+from sleepcolor.rng import MASK64, Lanes, NodeRng, derive_seed, mix64, pack, stream_state
 
 
 def test_same_seed_and_id_repeat_identically():
@@ -53,3 +55,54 @@ def test_stream_is_splitmix_of_state():
     for _ in range(10):
         assert r1.coin() == r2.coin()
         assert r1.randrange(13) == r2.randrange(13)
+
+
+def _lane_words(k):
+    """k words: the edge cases 0, 1, 2**63 and MASK64 first, then random ones."""
+    rng = NodeRng(k, 99)
+    return ([0, 1, 2**63, MASK64] + [rng.next_u64() for _ in range(k)])[:k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 2049])
+def test_lane_mix_equals_mix64_lane_by_lane(k):
+    words = _lane_words(k)
+    lanes = Lanes(k)
+    mixed = lanes.mix(pack(words))
+    assert list(lanes.words(mixed)) == [mix64(w) for w in words]
+    assert list(lanes.coins(mixed)) == [mix64(w) >> 63 for w in words]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 2049])
+def test_pack_round_trips(k):
+    words = _lane_words(k)
+    assert list(Lanes(k).words(pack(words))) == words
+    # a stride leaves the lanes in between 0
+    strided = Lanes(3 * k).words(pack(words, stride=3))
+    assert list(strided[::3]) == words
+    assert not any(strided[1::3]) and not any(strided[2::3])
+
+
+def test_lane_streams_equal_node_rng_draws():
+    seeds = [-1, 0, 7, 2**64 - 1, 2**64 + 7]              # masked as stream_state masks
+    ids = [0, 5, 2**63, 2**64 + 5, 2**70 - 1]             # so are ids >= 2**64
+    lanes = Lanes(len(seeds) * len(ids))
+    states = lanes.stream_states(seeds, ids)
+    assert list(lanes.words(states)) == [stream_state(s, v) for s in seeds for v in ids]
+    rngs = [NodeRng(s, v) for s in seeds for v in ids]
+    for c in range(1, 4):
+        assert list(lanes.words(lanes.mix(lanes.advance(states, c)))) == \
+            [r.next_u64() for r in rngs]
+    # one stream's consecutive words, one per lane
+    rng = NodeRng(-3, 2**64 + 1)
+    lanes = Lanes(5)
+    assert list(lanes.words(lanes.mix(lanes.consecutive(stream_state(-3, 2**64 + 1))))) == \
+        [rng.next_u64() for _ in range(5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_stream_states_copy_every_seed_over_all_nodes(n):
+    seeds = range(-2, 9)
+    ids = [3 * i + 1 for i in range(n)]
+    lanes = Lanes(len(seeds) * n)
+    assert list(lanes.words(lanes.stream_states(seeds, ids))) == \
+        [stream_state(s, v) for s in seeds for v in ids]
