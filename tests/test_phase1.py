@@ -179,3 +179,15 @@ def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
     for run in (run_phase1, simulate_phase1):
         with pytest.raises(ValueError, match="iterations must be >= 1"):
             run(inst, 0, 0)
+
+
+def test_kernel_and_engine_prune_every_occurrence_of_a_repeated_color():
+    # ColoringInstance(...) skips make_instance's duplicate-color check; a
+    # residual list that still repeats a color is rejected alike by both runs
+    inst = ColoringInstance(build_graph([(0, 1)], [0, 1]), {0: (1,), 1: (1, 1, 2)})
+    outcomes = set()
+    for seed in range(40):
+        kernel = _run_or_error(run_phase1, inst, 3, seed)
+        assert kernel == _run_or_error(simulate_phase1, inst, 3, seed)
+        outcomes.add(type(kernel[0]).__name__)
+    assert "PhaseOutcome" in outcomes
