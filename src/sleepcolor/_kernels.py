@@ -1,16 +1,17 @@
-"""Phase 1 on node positions: the pipeline's run and the Monte Carlo trials.
+"""Phases 1 and 2 on node positions: the pipeline's runs and the Monte Carlo trials.
 
-Phase 1 is most of every pipeline run, and the Monte Carlo checks run
-hundreds of thousands of first phase-1 iterations.  Going through the
+Phase 1 is most of every pipeline run, the Monte Carlo checks run hundreds
+of thousands of first phase-1 iterations, and phase 2 repeats the same
+iteration on the region around the high-degree nodes.  Going through the
 round engine costs an `Action`, a sends dict and a routed message per
 node-round, so this module runs the propose/resolve iteration directly on
 node positions, bit for bit: the same SplitMix64 streams, the same draw
-order and the same adoption rule as `Phase1Program`.  The words come from
-`rng`'s lane layer, many streams per big-int operation: every live node
-takes words rnd + 1 (the coin) and rnd + 2 (the index) of its stream in the
-iteration that starts at round rnd.  One function, `propose_resolve`, is the
-iteration for both callers.  The engine stays the reference; the tests
-compare the two.
+order and the same adoption rule as `Phase1Program` and `Phase2Program`.
+The words come from `rng`'s lane layer, many streams per big-int operation:
+every proposing node takes words rnd + 1 (the coin) and rnd + 2 (the index)
+of its stream in the iteration that starts at round rnd.  One function,
+`propose_resolve`, is the iteration for all three callers.  The engine stays
+the reference; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .rng import Lanes, pack
 # overhead vanishes, small enough that the ints stay in cache.
 _CHUNK = 2048
 
+# Phase-2 region roles (see `coloring.phase2`).
+CORE = "core"
+RING1 = "ring1"
+RING2 = "ring2"
+
 
 def instance_arrays(instance: ColoringInstance):
     """Lay an instance out over node positions (the index in sorted ids).
@@ -37,9 +43,11 @@ def instance_arrays(instance: ColoringInstance):
     return list(g.nodes), g.neighbors, [instance.lists[v] for v in g.nodes]
 
 
-def out_of_colors(v: int) -> AlgorithmInvariantViolation:
-    """The error every phase-1 path raises once node v's list is empty."""
-    return AlgorithmInvariantViolation(f"node {v} ran out of colors (inadmissible instance?)")
+def out_of_colors(v: int, where: str = "(inadmissible instance?)"
+                  ) -> AlgorithmInvariantViolation:
+    """The error a proposer with an empty list raises: phase 1 on every path,
+    phase 2 (`where` = "in degree reduction") on both of its paths."""
+    return AlgorithmInvariantViolation(f"node {v} ran out of colors {where}")
 
 
 def _draws(lanes: Lanes, states: int, counter: int) -> tuple[bytes, array]:
@@ -48,6 +56,39 @@ def _draws(lanes: Lanes, states: int, counter: int) -> tuple[bytes, array]:
     z = lanes.advance(states, counter)
     coins = lanes.coins(lanes.mix(z))
     return coins, lanes.words(lanes.mix(lanes.advance(z, 1)))
+
+
+def _stream_states(seed: int, ids) -> array:
+    """`stream_state(seed, v)` for every id v, in order, computed on lanes."""
+    state = array("Q")
+    for lo in range(0, len(ids), _CHUNK):
+        part = ids[lo:lo + _CHUNK]
+        lanes = Lanes(len(part))
+        state += lanes.words(lanes.stream_states((seed,), part))
+    return state
+
+
+def _live_draws(state, live, counter: int) -> tuple[bytearray, array]:
+    """`_draws` for the live positions, whose stream states are state[i]."""
+    coins, words = bytearray(), array("Q")
+    for lo in range(0, len(live), _CHUNK):
+        part = [state[i] for i in live[lo:lo + _CHUNK]]
+        lanes = Lanes(len(part))
+        c, w = _draws(lanes, pack(part), counter)
+        coins += c
+        words += w
+    return coins, words
+
+
+def _prune(lists, j: int, c: int) -> list[int]:
+    """Remove every occurrence of c from lists[j], as the node programs do,
+    copying the instance's own tuple on its first prune."""
+    rem = lists[j]
+    if rem.__class__ is tuple:
+        rem = lists[j] = list(rem)
+    while c in rem:
+        rem.remove(c)
+    return rem
 
 
 def propose_resolve(live, coins, words, lists, neighbors, proposal) -> list[int]:
@@ -94,11 +135,7 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
         raise ValueError("iterations must be >= 1")
     ids, neighbors, lists = instance_arrays(instance)
     n = len(ids)
-    state = array("Q")
-    for lo in range(0, n, _CHUNK):
-        part = ids[lo:lo + _CHUNK]
-        lanes = Lanes(len(part))
-        state += lanes.words(lanes.stream_states((seed,), part))
+    state = _stream_states(seed, ids)
     proposal = [0] * n
     alive = [True] * n
     live = list(range(n))
@@ -111,17 +148,11 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
             break
         if emptied:
             raise out_of_colors(ids[min(emptied)])
-        coins, words = bytearray(), array("Q")
-        for lo in range(0, len(live), _CHUNK):
-            part = [state[i] for i in live[lo:lo + _CHUNK]]
-            lanes = Lanes(len(part))
-            c, w = _draws(lanes, pack(part), rnd + 1)
-            coins += c
-            words += w
+        coins, words = _live_draws(state, live, rnd + 1)
         adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
         rnd += 2
         if trace is not None:
-            _trace_iteration(trace, rnd, ids, live, adopters, neighbors, alive)
+            _trace_iteration(trace, rnd, ids, live, live, adopters, {}, neighbors, alive)
         for a in adopters:
             alive[a] = False
             term[a] = rnd
@@ -130,15 +161,8 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
             c = proposal[a]
             proposal[a] = 0
             for j in neighbors[a]:
-                if alive[j]:
-                    rem = lists[j]
-                    if c in rem:
-                        if rem.__class__ is tuple:   # still the instance's own
-                            rem = lists[j] = list(rem)
-                        while c in rem:      # every occurrence, as the engine prunes
-                            rem.remove(c)
-                        if not rem:
-                            emptied.append(j)
+                if alive[j] and c in lists[j] and not _prune(lists, j, c):
+                    emptied.append(j)
         if adopters:
             live = [i for i in live if alive[i]]
     awake_rounds = {v: term[i] or rnd for i, v in enumerate(ids)}
@@ -147,21 +171,101 @@ def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=Non
     return colors, awake_rounds, termination, rnd, survivors
 
 
-def _trace_iteration(trace, resolve, ids, live, adopters, neighbors, alive) -> None:
-    """Record one iteration's propose round and resolve round."""
+def phase2_run(instance: ColoringInstance, roles, threshold: int, iteration_cap: int,
+               seed: int, trace=None):
+    """Phase 2 on the region that `roles` marks, as the engine runs `Phase2Program`.
+
+    roles[i] is CORE, RING1 or RING2 for the region's positions and None
+    elsewhere; every neighbor of a core or ring1 node is in the region.
+    Returns what `phase1_run` returns, keyed by the region's ids: colors,
+    awake rounds, termination rounds, rounds executed and the survivors'
+    pruned lists.  Each iteration, the proposers run `propose_resolve`; an
+    adoption prunes the lists and lowers the degrees of the neighbors awake
+    in that resolve round; and an awake node that neither proposed nor
+    heard a proposal sleeps out the window (2*iteration_cap rounds).
+    """
+    ids, neighbors, lists = instance_arrays(instance)
+    n = len(ids)
+    last = 2 * iteration_cap
+    region = [i for i in range(n) if roles[i]]
+    listening = region                                 # awake, in id order
+    # A node proposes while it is ring1, or core at or above the threshold.
+    # Degrees only fall and nobody wakes inside the window, so that status
+    # only switches off: every proposer proposed in every earlier iteration
+    # and takes words rnd + 1 and rnd + 2 of its stream, as in phase 1.
+    live = [i for i in listening if roles[i] is not RING2]
+    state = dict(zip(live, _stream_states(seed, [ids[i] for i in live])))
+    degree = [len(ns) for ns in neighbors]
+    awake = [r is not None for r in roles]
+    heard = [0] * n          # last resolve round a node proposed or heard a proposal
+    stop = [0] * n           # the round it terminated or fell asleep
+    proposal = [0] * n
+    colors: dict[int, int] = {}
+    rnd = 0
+    while listening and rnd < last:
+        live = [i for i in live
+                if awake[i] and (roles[i] is RING1 or degree[i] >= threshold)]
+        for i in live:
+            if not lists[i]:
+                raise out_of_colors(ids[i], "in degree reduction")
+        coins, words = _live_draws(state, live, rnd + 1)
+        adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
+        rnd += 2
+        for i in live:
+            heard[i] = rnd
+            for j in neighbors[i]:
+                heard[j] = rnd
+        dropped = [i for i in listening if heard[i] != rnd]
+        if trace is not None:
+            act = f"sleep:{last - rnd}" if rnd < last else "cont"
+            _trace_iteration(trace, rnd, ids, listening, live, adopters,
+                             dict.fromkeys(dropped, act), neighbors, awake)
+        for a in adopters:
+            awake[a] = False
+            stop[a] = rnd
+            colors[ids[a]] = proposal[a]
+        for a in adopters:
+            c = proposal[a]
+            for j in neighbors[a]:
+                if awake[j]:
+                    degree[j] -= 1
+                    if c in lists[j]:
+                        _prune(lists, j, c)
+        for i in live:
+            proposal[i] = 0      # so that only next iteration's proposers can clash
+        for i in dropped:
+            awake[i] = False
+            stop[i] = rnd
+        listening = [i for i in listening if awake[i]]
+    awake_rounds = {ids[i]: stop[i] or rnd for i in region}
+    termination = {ids[i]: stop[i] for i in region if ids[i] in colors}
+    survivors = {ids[i]: tuple(lists[i]) for i in region if ids[i] not in colors}
+    return colors, awake_rounds, termination, rnd, survivors
+
+
+def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, neighbors,
+                     awake) -> None:
+    """Record one iteration's propose round and resolve round.
+
+    `listening` are the awake positions and `live` the proposers among them,
+    both in id order; `acts` holds the resolve-round act of every listener
+    that neither adopts nor continues.
+    """
     node = trace.node_events
     msg = trace.msg_events
     t = resolve - 1 + trace.round_offset
+    proposing = set(live)
+    node.extend([(t, ids[i], "send" if i in proposing and neighbors[i] else "cont")
+                 for i in listening])
     for i in live:
         v = ids[i]
-        node.append((t, v, "send" if neighbors[i] else "cont"))
-        msg.extend([(t, v, ids[j], alive[j]) for j in neighbors[i]])
+        msg.extend([(t, v, ids[j], awake[j]) for j in neighbors[i]])
     t += 1
     for a in adopters:
         v = ids[a]
-        msg.extend([(t, v, ids[j], alive[j]) for j in neighbors[a]])
-    adopted = set(adopters)
-    node.extend([(t, ids[i], "term" if i in adopted else "cont") for i in live])
+        msg.extend([(t, v, ids[j], awake[j]) for j in neighbors[a]])
+    acts = {**acts, **dict.fromkeys(adopters, "term")}
+    node.extend([(t, ids[i], acts.get(i, "cont")) for i in listening])
 
 
 def phase1_trial_counts(

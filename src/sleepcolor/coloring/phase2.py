@@ -18,20 +18,22 @@ neighbor can adopt anymore.  Phase 3 wakes it again.  The region and the
 empty-core shortcut are computed centrally from the residual instance;
 this stands in for a two-round announcement cascade that a strict
 message-passing deployment would run.
+
+`run_phase2` runs this on node positions (`_kernels.phase2_run`).
+`simulate_phase2` runs `Phase2Program` through the round engine; it is the
+reference the kernel must match bit for bit, trace included.  Both take the
+region and build the residual in `_degree_reduction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AlgorithmInvariantViolation
-from ..graph import ColoringInstance, make_instance
+from .. import _kernels
+from .._kernels import CORE, RING1, RING2
+from ..graph import ColoringInstance
 from ..simcore import Action, Trace, run_simulation
-from .phase1 import ADOPT, PROPOSE, PhaseOutcome, survivor_lists
-
-CORE = "core"
-RING1 = "ring1"
-RING2 = "ring2"
+from .phase1 import ADOPT, PROPOSE, PhaseOutcome, _residual, survivor_lists
 
 
 @dataclass
@@ -67,9 +69,7 @@ class Phase2Program:
             st.proposing_round = False
             if st.proposed:
                 if not st.remaining:
-                    raise AlgorithmInvariantViolation(
-                        f"node {ctx.node_id} ran out of colors in degree reduction"
-                    )
+                    raise _kernels.out_of_colors(ctx.node_id, "in degree reduction")
                 zero = ctx.rng.coin()
                 idx = ctx.rng.randrange(len(st.remaining))
                 st.proposal = 0 if zero else st.remaining[idx]
@@ -101,11 +101,62 @@ def run_phase2(
     """Run the degree-reduction phase on a residual instance.
 
     Returns immediately (zero rounds, zero awake) when no node reaches the
-    threshold.  Otherwise the region simulation runs for at most
-    `iteration_cap` iterations (two rounds each).
+    threshold.  Otherwise the region runs for at most `iteration_cap`
+    iterations (two rounds each) through `_kernels.phase2_run`, which gives
+    the same outcome and trace as `simulate_phase2`, the round engine's run.
+    """
+    return _degree_reduction(
+        residual, threshold, iteration_cap,
+        lambda roles: _kernels.phase2_run(residual, roles, threshold, iteration_cap,
+                                          seed, trace=trace),
+    )
+
+
+def simulate_phase2(
+    residual: ColoringInstance,
+    threshold: int,
+    iteration_cap: int,
+    seed: int,
+    trace: Trace | None = None,
+) -> PhaseOutcome:
+    """Phase 2 driven by the round engine: the reference `run_phase2` matches.
+
+    `Phase2Program` runs on the region's induced graph; survivors' buffered
+    adoption messages are folded into their lists.
     """
     graph = residual.graph
-    core = {v for v in graph.nodes if graph.degree(v) >= threshold}
+
+    def engine(roles):
+        region = graph.induced([v for v, r in zip(graph.nodes, roles) if r])
+        role_of = dict(zip(graph.nodes, roles))
+        result = run_simulation(
+            region,
+            Phase2Program(threshold, iteration_cap),
+            inputs={v: (residual.lists[v], role_of[v], len(ns))
+                    for v, ns in zip(region.nodes, region.neighbors)},
+            seed=seed,
+            round_cap=2 * iteration_cap,
+            trace=trace,
+            on_incomplete="return",
+        )
+        term = {v: r for v, r in result.termination_round.items() if r is not None}
+        return (dict(result.outputs), result.awake_rounds, term,
+                result.rounds_executed, survivor_lists(result))
+
+    return _degree_reduction(residual, threshold, iteration_cap, engine)
+
+
+def _degree_reduction(residual: ColoringInstance, threshold: int, iteration_cap: int,
+                      run) -> PhaseOutcome:
+    """Mark the region on node positions, `run` it, and build the residual.
+
+    `run(roles)` gets each position's role (None outside the region) and
+    returns (colors, awake_rounds, termination_round, rounds_executed,
+    survivors' lists), keyed by id over the region.
+    """
+    nbrs = residual.graph.neighbors
+    roles = [CORE if len(ns) >= threshold else None for ns in nbrs]
+    core = [i for i, r in enumerate(roles) if r]
     if not core or iteration_cap < 1:
         return PhaseOutcome(
             colors={},
@@ -115,46 +166,26 @@ def run_phase2(
             rounds_executed=0,
             extra={"iterations": 0, "incomplete": bool(core)},
         )
-    ring1 = {u for v in core for u in graph.adjacency[v]} - core
-    ring2 = {u for v in core | ring1 for u in graph.adjacency[v]} - core - ring1
-    region = core | ring1 | ring2
-    region_graph = graph.induced(region)
-
-    def role_of(v: int) -> str:
-        if v in core:
-            return CORE
-        return RING1 if v in ring1 else RING2
-
-    inputs = {
-        v: (residual.lists[v], role_of(v), region_graph.degree(v)) for v in region
-    }
-    result = run_simulation(
-        region_graph,
-        Phase2Program(threshold, iteration_cap),
-        inputs=inputs,
-        seed=seed,
-        round_cap=2 * iteration_cap,
-        trace=trace,
-        on_incomplete="return",
-    )
-
-    colors = dict(result.outputs)
-    new_lists = survivor_lists(result)    # dropped or cut off by the cap
-    uncolored = [v for v in graph.nodes if v not in colors]
-    residual_out = None
-    if uncolored:
-        lists = {v: new_lists.get(v, residual.lists[v]) for v in uncolored}
-        residual_out = make_instance(graph.induced(uncolored), lists)
+    ring1 = []
+    for i in core:
+        for j in nbrs[i]:
+            if roles[j] is None:
+                roles[j] = RING1
+                ring1.append(j)
+    for i in ring1:       # a core node's neighbors are core or ring1
+        for j in nbrs[i]:
+            if roles[j] is None:
+                roles[j] = RING2
+    colors, awake, term, rounds, survivors = run(roles)
+    lists = residual.lists
+    residual_out = _residual(residual, {v: survivors.get(v, lists[v])
+                                        for v in residual.graph.nodes if v not in colors})
     incomplete = residual_out is not None and residual_out.graph.max_degree >= threshold
     return PhaseOutcome(
         colors=colors,
         residual=residual_out,
-        awake_rounds=result.awake_rounds,
-        termination_round={v: r for v, r in result.termination_round.items()
-                           if r is not None},
-        rounds_executed=result.rounds_executed,
-        extra={
-            "iterations": (result.rounds_executed + 1) // 2,
-            "incomplete": incomplete,
-        },
+        awake_rounds=awake,
+        termination_round=term,
+        rounds_executed=rounds,
+        extra={"iterations": (rounds + 1) // 2, "incomplete": incomplete},
     )

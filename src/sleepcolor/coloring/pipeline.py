@@ -151,7 +151,7 @@ def run_pipeline(
     p1 = run_phase1(instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT), trace=trace)
     fold(p1, 1, 0)
     residual = p1.residual
-    decay = _decay_histogram(p1, cfg.k1)
+    decay = _decay_histogram(p1)
 
     phase2_incomplete = False
     if residual is not None and config.phase2_scheduled(n):
@@ -197,9 +197,10 @@ def run_pipeline(
     return coloring, metrics
 
 
-def _decay_histogram(p1_outcome, k1: int) -> dict[int, int]:
-    """Iteration -> number of nodes that adopted in that phase-1 iteration."""
-    hist = {i: 0 for i in range(1, k1 + 1)}
+def _decay_histogram(p1_outcome) -> dict[int, int]:
+    """Iteration -> number of nodes that adopted in it, for every phase-1
+    iteration that ran (phase 1 stops once every node has adopted)."""
+    hist = {i: 0 for i in range(1, p1_outcome.rounds_executed // 2 + 1)}
     for v, rnd in p1_outcome.termination_round.items():
         hist[(rnd + 1) // 2] += 1
     return hist

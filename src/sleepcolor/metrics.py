@@ -13,7 +13,7 @@ PROPER_TOTAL = "proper_total"
 PROPER_PARTIAL = "proper_partial"
 INVALID = "invalid"
 
-DECAY_COLUMNS = 12      # at least x1..x12; more when k1 exceeds 12
+DECAY_COLUMNS = 12      # at least x1..x12; more when phase 1 ran more iterations
 
 _RUN_FIELDS = ["seed", "family", "n", "param", "K", "threshold", "worst_awake",
                "avg_awake", "total_rounds", "valid", "phase2_incomplete"]
@@ -68,7 +68,7 @@ class RunMetrics:
     def csv_row(self, seed: int, family: str, n: int, param, k: int,
                 threshold: int) -> list[str]:
         xs = [self.decay_histogram.get(i, 0)
-              for i in range(1, max(DECAY_COLUMNS, k) + 1)]
+              for i in range(1, max(DECAY_COLUMNS, len(self.decay_histogram)) + 1)]
         avg = self.average_awake
         return (
             [str(seed), family, str(n), _fmt_param(param), str(k), str(threshold),
@@ -100,7 +100,6 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
     """
     n = instance.graph.node_count
     s2, s3 = config.phase_boundaries(n)
-    k1 = config.resolve(n).k1
 
     awake = {v: 0 for v in instance.graph.nodes}
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
@@ -125,7 +124,9 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
             return 2
         return 3
 
-    decay = {i: 0 for i in range(1, k1 + 1)}
+    # one decay entry per phase-1 iteration that ran: the budget may be huge
+    last = max([rnd for rnd, _v, _act in trace.node_events if rnd <= s2], default=0)
+    decay = {i: 0 for i in range(1, last // 2 + 1)}
     phase_of: dict[int, int] = {}
     for v, r in term.items():
         phase_of[v] = phase_for(r)
@@ -193,7 +194,7 @@ def write_csv(fh, rows: Iterable[Sequence[str]], header_comments: Iterable[str] 
     """Write the run CSV: comment block, mandatory header row, data rows.
 
     The header names as many decay columns as the widest row carries, and
-    narrower rows (runs with a smaller k1) are padded with zero decay.
+    narrower rows (fewer phase-1 iterations run) are padded with zero decay.
     """
     rows = list(rows)
     width = max([len(CSV_FIELDS)] + [len(row) for row in rows])

@@ -103,7 +103,10 @@ class Trace:
 
 @dataclass
 class SimulationResult:
-    """Everything observable after a run (complete or capped)."""
+    """Everything observable after a run (complete or capped).
+
+    A run is complete iff no `termination_round` entry is None.
+    """
 
     outputs: dict[int, Any]                  # terminated node -> output
     awake_rounds: dict[int, int]
@@ -111,7 +114,6 @@ class SimulationResult:
     final_states: dict[int, Any]             # survivors' algorithm state
     pending_inbox: dict[int, list[Any]]      # survivors' unconsumed buffers
     rounds_executed: int                     # last round any node ran
-    complete: bool
 
 
 def run_simulation(
@@ -218,7 +220,6 @@ def run_simulation(
             if trace is not None:
                 trace.node(rnd, v, tok)
 
-    complete = alive == 0
     result = SimulationResult(
         outputs=outputs,
         awake_rounds=awake_rounds,
@@ -226,9 +227,8 @@ def run_simulation(
         final_states={v: ctxs[v].state for v in nodes if termination_round[v] is None},
         pending_inbox={v: buffers[v] for v in nodes if termination_round[v] is None},
         rounds_executed=rnd,
-        complete=complete,
     )
-    if not complete and on_incomplete == "raise":
+    if alive and on_incomplete == "raise":
         raise RunIncomplete(
             f"round cap {round_cap} reached with {alive} non-terminated nodes",
             partial=result,

@@ -3,8 +3,8 @@
 These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
-the phase-1 kernel, one scalar draw at a time instead of lanes in the gnp
-generator) so that agreement between the two is meaningful.
+the phase-1 and phase-2 kernels, one scalar draw at a time instead of lanes
+in the gnp generator) so that agreement between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import fields
 
 from sleepcolor.coloring import interim_palette, linial_step
 from sleepcolor.coloring.phase1 import PhaseOutcome, run_phase1, simulate_phase1
+from sleepcolor.coloring.phase2 import run_phase2, simulate_phase2
+from sleepcolor.errors import SleepColorError
 from sleepcolor.graph import _GEN_STREAM, ColoringInstance, make_instance, read_instance
 from sleepcolor.rng import NodeRng
 from sleepcolor.simcore import Trace
@@ -72,21 +74,57 @@ def random_residual_instance(trial: int, max_n: int = 60) -> ColoringInstance:
     return make_instance(graph, lists)
 
 
-def assert_same_phase1(instance: ColoringInstance, iterations: int, seed: int) -> None:
+def assert_same_phase1(instance: ColoringInstance, iterations: int,
+                       seed: int) -> PhaseOutcome:
     """`run_phase1` (the kernel) and `simulate_phase1` (the engine) agree.
 
     Every `PhaseOutcome` field, the colors' order, the trace events and the
-    rendered trace at a nonzero round offset must be identical.
+    rendered trace at a nonzero round offset must be identical.  Returns the
+    kernel's outcome.
     """
     kernel_trace, engine_trace = Trace(round_offset=7), Trace(round_offset=7)
     kernel = run_phase1(instance, iterations, seed, trace=kernel_trace)
     engine = simulate_phase1(instance, iterations, seed, trace=engine_trace)
+    _assert_same_outcome(kernel, engine)
+    _assert_same_trace(kernel_trace, engine_trace)
+    return kernel
+
+
+def assert_same_phase2(residual: ColoringInstance, threshold: int, iteration_cap: int,
+                       seed: int):
+    """`run_phase2` (the kernel) and `simulate_phase2` (the engine) agree.
+
+    As `assert_same_phase1`, and a run that raises must raise the same error
+    after the same trace events.  Returns the kernel's outcome (or error)
+    and its trace, whose round offset is 11.
+    """
+    runs = []
+    for run in (run_phase2, simulate_phase2):
+        trace = Trace(round_offset=11)
+        try:
+            out = run(residual, threshold, iteration_cap, seed, trace=trace)
+        except SleepColorError as exc:
+            out = exc
+        runs.append((out, trace))
+    (kernel, kernel_trace), (engine, engine_trace) = runs
+    if isinstance(kernel, PhaseOutcome) and isinstance(engine, PhaseOutcome):
+        _assert_same_outcome(kernel, engine)
+    else:
+        assert (type(kernel), str(kernel)) == (type(engine), str(engine))
+    _assert_same_trace(kernel_trace, engine_trace)
+    return kernel, kernel_trace
+
+
+def _assert_same_outcome(kernel: PhaseOutcome, engine: PhaseOutcome) -> None:
     for f in fields(PhaseOutcome):
         assert getattr(kernel, f.name) == getattr(engine, f.name), f.name
     assert list(kernel.colors) == list(engine.colors)
-    assert kernel_trace.node_events == engine_trace.node_events
-    assert kernel_trace.msg_events == engine_trace.msg_events
-    assert kernel_trace.render() == engine_trace.render()
+
+
+def _assert_same_trace(kernel: Trace, engine: Trace) -> None:
+    assert kernel.node_events == engine.node_events
+    assert kernel.msg_events == engine.msg_events
+    assert kernel.render() == engine.render()
 
 
 def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -144,13 +145,35 @@ def test_oracle_isolated_prints_one_half(tmp_path, capsys):
 
 
 def test_run_k1_above_twelve_keeps_every_decay_column(capsys):
+    # one decay column per iteration that ran (at least x1..x12); K keeps k1
     code, out, _ = run_cli(
         ["run", "--family", "path", "--n", "8", "--seeds", "2", "--k1", "13"], capsys
     )
     assert code == 0
     data = [l for l in out.splitlines() if not l.startswith("#")]
-    assert data[0].endswith(",x12,x13")
-    assert [l.count(",") for l in data[1:]] == [23, 23]
+    assert data[0].endswith(",x11,x12")
+    assert [l.count(",") for l in data[1:]] == [22, 22]
+    assert [l.split(",")[4] for l in data[1:]] == ["13", "13"]
+
+
+def test_run_huge_phase1_budget_allocates_only_what_runs():
+    # a structure sized by the budget would hit the address-space cap and
+    # fail the child, instead of exhausting the host's memory
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for budget in (["--k1", "1000000000"], ["--k1-coef", "1e308"]):
+        out = subprocess.run(
+            [sys.executable, "-m", "sleepcolor.cli", "run", "--family", "path",
+             "--n", "8", "--seeds", "2", *budget],
+            capture_output=True, text=True, env=_child_env(), preexec_fn=limit,
+            timeout=120,
+        )
+        assert out.returncode == 0, (budget, out.stderr)
+        rows = [l for l in out.stdout.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 2 and all(r.split(",")[9] == "1" for r in rows)
 
 
 def test_fit_line_exact():
@@ -159,14 +182,18 @@ def test_fit_line_exact():
     assert all(abs(r) < 1e-12 for r in res)
 
 
-def test_console_entrypoint_subprocess(tmp_path):
+def _child_env():
     # the child imports the same sleepcolor, installed or not
     src = os.path.dirname(os.path.dirname(sleepcolor.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entrypoint_subprocess(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "sleepcolor.cli", "run", "--family", "path",
          "--n", "8", "--seeds", "2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1].count(",") == 22

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_same_phase1
-from sleepcolor.coloring import PipelineConfig, phase3, run_pipeline
+from helpers import assert_same_phase1, assert_same_phase2
+from sleepcolor.coloring import PipelineConfig, phase2, phase3, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.metrics import collect
@@ -78,7 +78,7 @@ def test_phase3_schedule_overrun_raises_run_incomplete(monkeypatch):
     inst = make_default_instance(generate("gnp", 64, seed=3, param=0.2))
     with pytest.raises(RunIncomplete) as err:
         run_pipeline(inst, PipelineConfig(seed=1, k1=1))
-    assert not err.value.partial.complete
+    assert None in err.value.partial.termination_round.values()
 
 
 def test_forced_phase2_window_and_phase3_offsets():
@@ -93,6 +93,23 @@ def test_forced_phase2_window_and_phase3_offsets():
     phase3_terms = [t for _, (_a, t, ph) in m.per_node.items() if ph == 3]
     assert all(s2 < t <= s3 for t in phase2_terms)
     assert all(t > s3 for t in phase3_terms)
+
+
+def test_pipeline_runs_phase2_on_the_kernel(monkeypatch):
+    # the engine run is the reference only: the pipeline never reaches it
+    inst = make_default_instance(generate("gnp", 200, seed=4, param=0.05))
+    cfg = PipelineConfig(seed=4, k1=1, phase2_degree_threshold=5)
+    plain = Trace()
+    _, m = run_pipeline(inst, cfg, trace=plain)
+    assert m.phase_rounds[2] > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase 2 ran on the round engine")
+
+    monkeypatch.setattr(phase2, "run_simulation", refuse)
+    patched = Trace()
+    run_pipeline(inst, cfg, trace=patched)
+    assert patched.render() == plain.render()
 
 
 def test_trace_collect_agrees_with_pipeline_metrics():
@@ -194,4 +211,8 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     assert rebuilt.phase_rounds == metrics.phase_rounds
     assert rebuilt.decay_histogram == metrics.decay_histogram
     assert rebuilt.total_rounds == metrics.total_rounds
-    assert_same_phase1(inst, cfg.resolve(inst.graph.node_count).k1, seed)
+    resolved = cfg.resolve(inst.graph.node_count)
+    p1 = assert_same_phase1(inst, resolved.k1, seed)
+    if p1.residual is not None:
+        assert_same_phase2(p1.residual, resolved.phase2_degree_threshold,
+                           resolved.phase2_iteration_cap, seed)
