@@ -28,13 +28,19 @@ Two stages, both deterministic:
 The max residual degree is computed centrally and handed to all nodes,
 matching the standard assumption that the degree bound is a known
 parameter of the instance.
+
+`run_phase3` runs both stages directly on the residual's node positions,
+with no round engine, as phases 1 and 2 do.  `simulate_phase3` runs
+`Phase3Program` through the round engine; it is the reference the kernel
+must match bit for bit, trace included.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from ..errors import AlgorithmInvariantViolation
+from ..errors import AlgorithmInvariantViolation, RunIncomplete
 from ..graph import ColoringInstance
 from ..simcore import Action, Trace, run_simulation
 from .phase1 import PhaseOutcome
@@ -75,23 +81,25 @@ def _next_prime(x: int) -> int:
 
 
 def _iroot_ceil(m: int, k: int) -> int:
-    """Smallest r with r**k >= m (integer arithmetic only)."""
+    """Smallest r with r**k >= m (integer arithmetic only, any size of m)."""
     if m <= 1:
         return 1
-    r = max(1, int(round(m ** (1.0 / k))))
-    while r ** k >= m:
-        r -= 1
-    while (r + 1) ** k < m:
-        r += 1
-    return r + 1
+    # Newton's method for the floor root, from 2**ceil(bits/k) > m**(1/k)
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k >= m else r + 1
 
 
 def palette_schedule(id_bit_size: int, max_degree: int) -> tuple[list[tuple[int, int]], int]:
     """Reduction steps ((q, d) per round) from palette 2**id_bit_size down.
 
     Greedy descent: each step picks the (q, d) minimizing the next palette
-    q*q subject to q being a prime, q > d*max_degree, and
-    q**(d+1) >= current palette.  Stops when no step shrinks the palette.
+    q*q, the smaller d on a tie, subject to q being a prime, q > d*max_degree,
+    and q**(d+1) >= current palette.  Stops when no step shrinks the palette.
     The reachable floor is (smallest prime > 2*max_degree)**2, i.e.
     O(max_degree**2) with a small constant.
     """
@@ -99,16 +107,28 @@ def palette_schedule(id_bit_size: int, max_degree: int) -> tuple[list[tuple[int,
     m = 1 << id_bit_size
     steps: list[tuple[int, int]] = []
     while True:
-        best: tuple[int, int, int] | None = None   # (q*q, d, q)
-        # d = 1 never wins: q >= ceil(sqrt(m)) there, so q*q < m fails
-        for d in range(2, 65):
-            if d * delta + 1 > m:
+        # q >= lower(d) = max(d*delta + 1, ceil((d+1)-th root of m)).  Once
+        # d*delta + 1 reaches the root, lower(d) only grows with d, so no
+        # larger d gives a smaller q.  (d = 1 never wins: q >= ceil(sqrt(m))
+        # there, so q*q < m fails.)
+        bounds = []
+        d = 2
+        while True:
+            root = _iroot_ceil(m, d + 1)
+            bounds.append((max(d * delta + 1, root), d))
+            if d * delta + 1 >= root:
                 break
-            q = _next_prime(max(d * delta + 1, _iroot_ceil(m, d + 1)))
-            cand = q * q
-            if cand < m and (best is None or cand < best[0]):
-                best = (cand, d, q)
-        if best is None:
+            d += 1
+        # smallest bounds first; a prime is looked for only while lower**2
+        # can still beat (or tie with a smaller d) the best palette so far
+        best = (m, 0, 0)                        # (q*q, d, q) to beat
+        for lower, d in sorted(bounds):
+            if lower * lower > best[0]:
+                break
+            q = _next_prime(lower)
+            if (q * q, d) < best[:2]:
+                best = (q * q, d, q)
+        if not best[1]:
             return steps, m
         steps.append((best[2], best[1]))
         m = best[0]
@@ -122,22 +142,41 @@ def _poly_digits(value: int, q: int, d: int) -> list[int]:
     return digits
 
 
-def linial_step(color: int, neighbor_colors, q: int, d: int, node_id: int) -> int:
-    """One polynomial reduction step: old palette q**(d+1), new palette q*q."""
-    mine = _poly_digits(color, q, d)
-    others = [_poly_digits(c, q, d) for c in set(neighbor_colors)]
+def _evaluate(color: int, a: int, q: int, d: int) -> int:
+    """color's polynomial (its d + 1 base-q digits as coefficients) at a, over GF(q)."""
+    v = 0
+    for coef in reversed(_poly_digits(color, q, d)):      # Horner
+        v = (v * a + coef) % q
+    return v
+
+
+def _reduce_color(color: int, others, q: int, d: int, values: dict, node_id: int) -> int:
+    """The first point a where color's polynomial differs from every other
+    color's gives the new color a*q + its value there.
+
+    `values` caches (color, a) -> value for one step, so that each color's
+    polynomial is evaluated once per point, and only at the points asked for.
+    """
     for a in range(q):
-        mine_eval = sum(coef * pow(a, i, q) for i, coef in enumerate(mine)) % q
-        ok = True
-        for digs in others:
-            if sum(coef * pow(a, i, q) for i, coef in enumerate(digs)) % q == mine_eval:
-                ok = False
+        mine = values.get((color, a))
+        if mine is None:
+            mine = values[color, a] = _evaluate(color, a, q, d)
+        for c in others:
+            theirs = values.get((c, a))
+            if theirs is None:
+                theirs = values[c, a] = _evaluate(c, a, q, d)
+            if theirs == mine:
                 break
-        if ok:
-            return a * q + mine_eval
+        else:
+            return a * q + mine
     raise AlgorithmInvariantViolation(
         f"node {node_id}: no distinguishing evaluation point (q={q}, d={d})"
     )
+
+
+def linial_step(color: int, neighbor_colors, q: int, d: int, node_id: int) -> int:
+    """One polynomial reduction step: old palette q**(d+1), new palette q*q."""
+    return _reduce_color(color, set(neighbor_colors), q, d, {}, node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +375,163 @@ def run_phase3(
     residual: ColoringInstance,
     trace: Trace | None = None,
 ) -> PhaseOutcome:
-    """Run phase 3 on a residual instance, capped at its own schedule.
+    """Run phase 3 on the residual's node positions, capped at its own schedule.
 
-    Every node terminates by the last tournament slot, round interim
-    rounds + 2C - 1; a node still running then raises RunIncomplete from
-    run_simulation.
+    Gives the outcome, the colors' order and the trace events of
+    `simulate_phase3`, the round engine's run of `Phase3Program`.  With P
+    interim rounds and C classes, every node terminates by the last
+    tournament slot, round P + 2C - 1; a node still running then raises
+    RunIncomplete once every event up to that round is traced.
+    """
+    steps, classes = interim_palette(residual)
+    prelim = len(steps) + 1
+    cap = prelim + tournament_slot_count(classes)
+    ids, nbrs = residual.graph.nodes, residual.graph.neighbors
+    n = len(ids)
+    node_ev = msg_ev = None
+    offset = 0
+    if trace is not None:
+        node_ev, msg_ev, offset = trace.node_events, trace.msg_events, trace.round_offset
+
+    def exchange(rnd, acts):
+        # an interim round: everyone is awake, so every message is delivered
+        t = rnd + offset
+        node_ev.extend(zip([t] * n, ids, acts))
+        msg_ev.extend([(t, v, ids[j], True) for v, ns in zip(ids, nbrs) for j in ns])
+
+    # interim rounds 1..P: in round r < P each node sends its color, and in
+    # round r + 1 it applies reduction step r to the colors it heard
+    cls = list(ids) if classes > 1 else [0] * n
+    for rnd, (q, d) in enumerate(steps, start=1):
+        if node_ev is not None:
+            exchange(rnd, ["send" if ns else "cont" for ns in nbrs])
+        values: dict[tuple[int, int], int] = {}
+        cls = [_reduce_color(c, [cls[j] for j in ns], q, d, values, v)
+               for v, c, ns in zip(ids, cls, nbrs)]
+
+    # round P sends the final class and sleeps until the first duty
+    kept = _kept_duties(classes, cls, nbrs)
+    if node_ev is not None:
+        exchange(prelim, [f"sleep:{ds[0][0]}" if ds[0][0] else "send" if ns else "cont"
+                          for ds, ns in zip(kept, nbrs)])
+
+    # slot s is round P + 1 + s; the nodes awake in it are those with a duty there
+    at_slot: dict[int, list[int]] = {}
+    for i, ds in enumerate(kept):
+        for duty in ds:
+            at_slot.setdefault(duty[0], []).append(i)
+    lists = residual.lists
+    awake_rounds = [prelim] * n
+    term = [0] * n
+    nxt = [0] * n                  # index of each node's next duty
+    awake_in = [-1] * n            # the last slot each node was awake in
+    adopted = [0] * n
+    heard: dict[int, set[int]] = {}
+    colors: dict[int, int] = {}
+    rounds = prelim
+    for s in sorted(at_slot):
+        rnd = prelim + 1 + s
+        if rnd > cap:
+            break
+        awake = at_slot[s]
+        # leaves first, in id order: a failing one raises before the round is traced
+        for i in awake:
+            awake_in[i] = s
+            if kept[i][nxt[i]][1] == LEAF:
+                c = cls[i]
+                if any(cls[j] == c for j in nbrs[i]):
+                    raise AlgorithmInvariantViolation(
+                        f"node {ids[i]}: interim coloring not proper")
+                taken = heard.get(i, ())
+                free = next((x for x in lists[ids[i]] if x not in taken), None)
+                if free is None:
+                    raise AlgorithmInvariantViolation(
+                        f"node {ids[i]}: no free list color at its leaf round")
+                adopted[i] = free
+        t = rnd + offset
+        for i in awake:
+            ds, k = kept[i], nxt[i]
+            nxt[i] = k + 1
+            awake_rounds[i] += 1
+            kind = ds[k][1]
+            v = ids[i]
+            if kind == ANNOUNCE:
+                c = adopted[i]
+                for j in nbrs[i]:
+                    ok = awake_in[j] == s
+                    if ok:
+                        heard.setdefault(j, set()).add(c)
+                    if msg_ev is not None:
+                        msg_ev.append((t, v, ids[j], ok))
+            if k + 1 == len(ds):
+                term[i] = rnd
+                colors[v] = adopted[i]
+                act = "term"
+            else:
+                gap = ds[k + 1][0] - s - 1
+                act = (f"sleep:{gap}" if gap
+                       else "send" if kind == ANNOUNCE and nbrs[i] else "cont")
+            if node_ev is not None:
+                node_ev.append((t, v, act))
+        rounds = rnd
+
+    outcome = PhaseOutcome(
+        colors=colors,
+        residual=None,
+        awake_rounds=dict(zip(ids, awake_rounds)),
+        termination_round={v: r for v, r in zip(ids, term) if r},
+        rounds_executed=rounds,
+        extra={"classes": classes, "reduction_steps": len(steps), "interim_rounds": prelim},
+    )
+    if len(colors) < n:
+        outcome.termination_round = {v: r or None for v, r in zip(ids, term)}
+        raise RunIncomplete(
+            f"round cap {cap} reached with {n - len(colors)} non-terminated nodes",
+            partial=outcome,
+        )
+    return outcome
+
+
+def _kept_duties(classes: int, cls: list[int], nbrs) -> list[list]:
+    """Each node's duties once round P has told it its neighbors' classes.
+
+    The first duty is kept (the engine pays it before it refines); after
+    that a leaf stays, an announce needs a neighbor class in [mid, hi) and a
+    listen one in [lo, mid).  An isolated node has only its leaf.
+    `class_duties` runs once per class.
+    """
+    plans: dict[int, list] = {}
+    kept = []
+    for c, ns in zip(cls, nbrs):
+        duties = plans.get(c)
+        if duties is None:
+            duties = plans[c] = class_duties(classes, c)
+        if not ns:
+            kept.append([duty for duty in duties if duty[1] == LEAF])
+            continue
+        near = sorted({cls[j] for j in ns})
+        keep = [duties[0]]
+        for duty in duties[1:]:
+            _, kind, lo, mid, hi = duty
+            if kind != LEAF:
+                a, b = (mid, hi) if kind == ANNOUNCE else (lo, mid)
+                k = bisect_left(near, a)
+                if k == len(near) or near[k] >= b:
+                    continue
+            keep.append(duty)
+        kept.append(keep)
+    return kept
+
+
+def simulate_phase3(
+    residual: ColoringInstance,
+    trace: Trace | None = None,
+) -> PhaseOutcome:
+    """Phase 3 driven by the round engine: the reference `run_phase3` matches.
+
+    `Phase3Program` runs through `run_simulation`, capped at the last
+    tournament slot, round interim rounds + 2C - 1; a node still running
+    then raises RunIncomplete from the engine.
     """
     steps, classes = interim_palette(residual)
     program = Phase3Program(steps, classes)

@@ -27,7 +27,10 @@ class RunIncomplete(SleepColorError):
     """A simulation reached its round cap with non-terminated nodes.
 
     In the pipeline this means a phase overran its own schedule, an
-    internal invariant.  `partial` is the capped SimulationResult.
+    internal invariant.  `partial` is the run so far: from the round engine
+    the capped SimulationResult; from phase 3's run on node positions
+    (`run_phase3`) its PhaseOutcome, whose termination_round maps every
+    node, None for each one cut off.
     """
 
     def __init__(self, message, partial=None):

@@ -3,7 +3,7 @@
 These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
-the phase-1 and phase-2 kernels, one scalar draw at a time instead of lanes
+the kernels of phases 1, 2 and 3, one scalar draw at a time instead of lanes
 in the gnp generator) so that agreement between the two is meaningful.
 """
 
@@ -15,7 +15,8 @@ from dataclasses import fields
 from sleepcolor.coloring import interim_palette, linial_step
 from sleepcolor.coloring.phase1 import PhaseOutcome, run_phase1, simulate_phase1
 from sleepcolor.coloring.phase2 import run_phase2, simulate_phase2
-from sleepcolor.errors import SleepColorError
+from sleepcolor.coloring.phase3 import run_phase3, simulate_phase3
+from sleepcolor.errors import RunIncomplete, SleepColorError
 from sleepcolor.graph import _GEN_STREAM, ColoringInstance, make_instance, read_instance
 from sleepcolor.rng import NodeRng
 from sleepcolor.simcore import Trace
@@ -111,6 +112,34 @@ def assert_same_phase2(residual: ColoringInstance, threshold: int, iteration_cap
         _assert_same_outcome(kernel, engine)
     else:
         assert (type(kernel), str(kernel)) == (type(engine), str(engine))
+    _assert_same_trace(kernel_trace, engine_trace)
+    return kernel, kernel_trace
+
+
+def assert_same_phase3(residual: ColoringInstance):
+    """`run_phase3` (the kernel) and `simulate_phase3` (the engine) agree.
+
+    As `assert_same_phase2`; a run that overruns its schedule must also
+    leave the same awake rounds, termination rounds (None where cut off)
+    and rounds executed in the error's `partial`.  Returns the kernel's
+    outcome (or error) and its trace, whose round offset is 5.
+    """
+    runs = []
+    for run in (run_phase3, simulate_phase3):
+        trace = Trace(round_offset=5)
+        try:
+            out = run(residual, trace=trace)
+        except SleepColorError as exc:
+            out = exc
+        runs.append((out, trace))
+    (kernel, kernel_trace), (engine, engine_trace) = runs
+    if isinstance(kernel, PhaseOutcome) and isinstance(engine, PhaseOutcome):
+        _assert_same_outcome(kernel, engine)
+    else:
+        assert (type(kernel), str(kernel)) == (type(engine), str(engine))
+        if isinstance(kernel, RunIncomplete):
+            for name in ("awake_rounds", "termination_round", "rounds_executed"):
+                assert getattr(kernel.partial, name) == getattr(engine.partial, name), name
     _assert_same_trace(kernel_trace, engine_trace)
     return kernel, kernel_trace
 

@@ -176,6 +176,23 @@ def test_run_huge_phase1_budget_allocates_only_what_runs():
         assert len(rows) == 2 and all(r.split(",")[9] == "1" for r in rows)
 
 
+def test_run_huge_ids_finish_phase3(tmp_path):
+    # ids of 201 bits once sent palette_schedule into trial division near
+    # 2**67, and ids of 1101 bits overflowed a float root; a hang fails here
+    for bits in (200, 1100):
+        a = 2**bits
+        path = tmp_path / f"ids{bits}.dlc"
+        path.write_text(f"dlc 1 2 1\nnode {a} 1 2\nnode {a + 1} 1 2\nedge {a} {a + 1}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "sleepcolor.cli", "run", "--instance", str(path),
+             "--seeds", "4"],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert out.returncode == 0, (bits, out.stderr)
+        rows = [l for l in out.stdout.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 4 and all(r.split(",")[9] == "1" for r in rows)
+
+
 def test_fit_line_exact():
     a, b, res = fit_line([1.0, 2.0, 3.0], [3.0, 5.0, 7.0])
     assert abs(a - 2.0) < 1e-12 and abs(b - 1.0) < 1e-12

@@ -1,19 +1,35 @@
 import math
 
-from helpers import central_interim, greedy_by_class, random_residual_instance
+import pytest
+
+from helpers import (
+    assert_same_phase3,
+    central_interim,
+    greedy_by_class,
+    random_residual_instance,
+)
 
 from sleepcolor.coloring import (
     PipelineConfig,
     class_duties,
     interim_palette,
     palette_schedule,
+    run_phase1,
+    run_phase2,
     run_phase3,
     run_pipeline,
     tournament_slot_count,
 )
-from sleepcolor.coloring import phase3
-from sleepcolor.coloring.phase3 import _is_prime, _next_prime
-from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
+from sleepcolor.coloring import phase3, pipeline
+from sleepcolor.coloring.phase3 import _iroot_ceil, _is_prime, _next_prime, simulate_phase3
+from sleepcolor.errors import AlgorithmInvariantViolation, RunIncomplete
+from sleepcolor.graph import (
+    ColoringInstance,
+    build_graph,
+    generate,
+    make_default_instance,
+    make_instance,
+)
 from sleepcolor.metrics import validity_verdict
 
 
@@ -23,7 +39,7 @@ def _palette_bound(delta: int) -> int:
 
 
 def test_palette_schedule_reaches_quadratic_floor():
-    for bits in (4, 8, 16, 32, 64, 70):
+    for bits in (4, 8, 16, 32, 64, 70, 201, 1101):
         for delta in (1, 2, 3, 4, 6, 8, 12, 20):
             steps, palette = palette_schedule(bits, delta)
             assert palette <= max(_palette_bound(delta), 1 << bits)
@@ -33,6 +49,17 @@ def test_palette_schedule_reaches_quadratic_floor():
             # each step's parameters are usable: q a prime, q > d*delta
             for q, d in steps:
                 assert _is_prime(q) and q > d * delta
+
+
+def test_integer_roots_past_the_float_range_keep_the_schedules():
+    # a float root overflowed past 1024 bits; the schedules below are the
+    # ones the fixed d < 65 search gave
+    for m in (2, 7, 8, 9, 10**40, 2**1100 + 1, 3**2000):
+        for k in (2, 3, 7, 151):
+            r = _iroot_ceil(m, k)
+            assert r ** k >= m and (r - 1) ** k < m
+    assert palette_schedule(64, 9) == ([(89, 9), (23, 2), (19, 2)], 361)
+    assert palette_schedule(70, 1) == ([(19, 16), (5, 3), (3, 2)], 9)
 
 
 def test_prime_moduli_color_the_zero_forty_edge():
@@ -52,13 +79,28 @@ def test_pipeline_caps_phase3_at_its_schedule(monkeypatch):
         seen.append((program, kwargs["round_cap"]))
         return real(graph, program, **kwargs)
 
+    residuals = []
+    run = pipeline.run_phase3
+
+    def keep(residual, trace=None):
+        residuals.append(residual)
+        return run(residual, trace=trace)
+
     monkeypatch.setattr(phase3, "run_simulation", spy)
+    monkeypatch.setattr(pipeline, "run_phase3", keep)
     inst = make_default_instance(generate("gnp", 64, seed=3, param=0.2))
     _, metrics = run_pipeline(inst, PipelineConfig(seed=1, k1=1))
-    assert len(seen) == 1 and metrics.phase3_classes > 1
-    program, cap = seen[0]
+    assert not seen and len(residuals) == 1 and metrics.phase3_classes > 1
+    residual = residuals[0]
     # interim rounds + tournament slots: the cap is the last slot's round
+    simulate_phase3(residual)
+    program, cap = seen[0]
     assert cap == len(program.steps) + 1 + tournament_slot_count(metrics.phase3_classes)
+    # the kernel runs up to that very round, and one slot fewer cuts it off
+    assert run_phase3(residual).rounds_executed == cap
+    monkeypatch.setattr(phase3, "tournament_slot_count", lambda c: tournament_slot_count(c) - 1)
+    with pytest.raises(RunIncomplete, match=f"round cap {cap - 1} reached"):
+        run_phase3(residual)
 
 
 def test_interim_edgeless_is_all_zero():
@@ -159,3 +201,63 @@ def test_phase3_deterministic():
     b = run_phase3(inst)
     assert a.colors == b.colors
     assert a.awake_rounds == b.awake_rounds
+
+
+@pytest.mark.parametrize("family,n,param", [
+    ("path", 30, None),
+    ("cycle", 31, None),
+    ("clique", 12, None),
+    ("star", 40, None),
+    ("regular", 64, 6),
+    ("gnp", 300, 0.03),
+])
+def test_kernel_matches_engine_driver(family, n, param):
+    inst = make_default_instance(generate(family, n, seed=n, param=param))
+    assert_same_phase3(inst)
+    for seed in range(3):
+        residual = run_phase1(inst, 1, seed).residual
+        if residual is None:
+            continue
+        assert_same_phase3(residual)
+        residual = run_phase2(residual, 3, 40, seed).residual
+        if residual is not None:
+            assert_same_phase3(residual)
+
+
+def test_kernel_matches_engine_driver_on_examples_and_random_residuals():
+    examples = [
+        make_instance(build_graph([], [0, 5]), {0: (4, 9), 5: (2,)}),       # one class
+        make_instance(build_graph([(0, 1)], [0, 1]), {0: (1, 2), 1: (1, 2)}),
+    ]
+    for inst in examples + [random_residual_instance(t) for t in range(40)]:
+        assert_same_phase3(inst)
+
+
+def test_kernel_matches_engine_driver_on_ids_past_64_bits():
+    big = [2**63, 2**63 + 1, 2**64 + 5, 2**70 - 1]
+    edges = [(big[0], big[1]), (big[0], big[2]), (big[0], big[3]), (big[0], 4),
+             (big[2], 9), (9, 12), (big[1], big[3])]
+    inst = make_default_instance(build_graph(edges, big + [4, 9, 12]))
+    assert inst.graph.id_bit_size == 70 and interim_palette(inst)[0]
+    out, _ = assert_same_phase3(inst)
+    assert validity_verdict(inst, out.colors) == "proper_total"
+
+
+def test_kernel_and_engine_raise_alike_when_a_leaf_finds_no_free_color():
+    # lists shorter than deg+1 (not admissible, so built without make_instance)
+    g = build_graph([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3])
+    inst = ColoringInstance(g, {0: (1,), 1: (1,), 2: (2, 1), 3: (2,)})
+    err, trace = assert_same_phase3(inst)
+    assert isinstance(err, AlgorithmInvariantViolation)
+    assert "no free list color at its leaf round" in str(err)
+    assert trace.node_events
+
+
+def test_kernel_and_engine_overrun_alike(monkeypatch):
+    real = phase3.tournament_slot_count
+    monkeypatch.setattr(phase3, "tournament_slot_count", lambda c: real(c) - 1)
+    inst = make_default_instance(generate("gnp", 64, seed=3, param=0.2))
+    err, trace = assert_same_phase3(inst)
+    assert isinstance(err, RunIncomplete)
+    assert None in err.partial.termination_round.values()
+    assert trace.node_events

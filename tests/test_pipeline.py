@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import assert_same_phase1, assert_same_phase2
+from helpers import assert_same_phase1, assert_same_phase2, assert_same_phase3
 from sleepcolor.coloring import PipelineConfig, phase2, phase3, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
@@ -96,17 +96,19 @@ def test_forced_phase2_window_and_phase3_offsets():
 
 
 def test_pipeline_runs_phase2_on_the_kernel(monkeypatch):
-    # the engine run is the reference only: the pipeline never reaches it
+    # the engine runs are the references only: the pipeline never reaches
+    # them, in phase 2 or in phase 3
     inst = make_default_instance(generate("gnp", 200, seed=4, param=0.05))
     cfg = PipelineConfig(seed=4, k1=1, phase2_degree_threshold=5)
     plain = Trace()
     _, m = run_pipeline(inst, cfg, trace=plain)
-    assert m.phase_rounds[2] > 0
+    assert m.phase_rounds[2] > 0 and m.phase_rounds[3] > 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("phase 2 ran on the round engine")
+        raise AssertionError("a phase ran on the round engine")
 
     monkeypatch.setattr(phase2, "run_simulation", refuse)
+    monkeypatch.setattr(phase3, "run_simulation", refuse)
     patched = Trace()
     run_pipeline(inst, cfg, trace=patched)
     assert patched.render() == plain.render()
@@ -213,6 +215,11 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     assert rebuilt.total_rounds == metrics.total_rounds
     resolved = cfg.resolve(inst.graph.node_count)
     p1 = assert_same_phase1(inst, resolved.k1, seed)
-    if p1.residual is not None:
-        assert_same_phase2(p1.residual, resolved.phase2_degree_threshold,
-                           resolved.phase2_iteration_cap, seed)
+    residual = p1.residual
+    if residual is not None:
+        p2, _ = assert_same_phase2(residual, resolved.phase2_degree_threshold,
+                                   resolved.phase2_iteration_cap, seed)
+        if cfg.phase2_scheduled(inst.graph.node_count):
+            residual = p2.residual
+    if residual is not None:
+        assert_same_phase3(residual)
