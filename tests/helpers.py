@@ -99,21 +99,9 @@ def assert_same_phase2(residual: ColoringInstance, threshold: int, iteration_cap
     after the same trace events.  Returns the kernel's outcome (or error)
     and its trace, whose round offset is 11.
     """
-    runs = []
-    for run in (run_phase2, simulate_phase2):
-        trace = Trace(round_offset=11)
-        try:
-            out = run(residual, threshold, iteration_cap, seed, trace=trace)
-        except SleepColorError as exc:
-            out = exc
-        runs.append((out, trace))
-    (kernel, kernel_trace), (engine, engine_trace) = runs
-    if isinstance(kernel, PhaseOutcome) and isinstance(engine, PhaseOutcome):
-        _assert_same_outcome(kernel, engine)
-    else:
-        assert (type(kernel), str(kernel)) == (type(engine), str(engine))
-    _assert_same_trace(kernel_trace, engine_trace)
-    return kernel, kernel_trace
+    kernel, _, trace = _run_both(run_phase2, simulate_phase2, 11,
+                                 residual, threshold, iteration_cap, seed)
+    return kernel, trace
 
 
 def assert_same_phase3(residual: ColoringInstance):
@@ -124,11 +112,22 @@ def assert_same_phase3(residual: ColoringInstance):
     and rounds executed in the error's `partial`.  Returns the kernel's
     outcome (or error) and its trace, whose round offset is 5.
     """
+    kernel, engine, trace = _run_both(run_phase3, simulate_phase3, 5, residual)
+    if isinstance(kernel, RunIncomplete):
+        for name in ("awake_rounds", "termination_round", "rounds_executed"):
+            assert getattr(kernel.partial, name) == getattr(engine.partial, name), name
+    return kernel, trace
+
+
+def _run_both(kernel_run, engine_run, offset: int, *args):
+    """Run both with a trace at `offset`; the outcomes, or the errors' types
+    and texts, and the traces must be identical.  Returns (kernel outcome or
+    error, engine outcome or error, kernel trace)."""
     runs = []
-    for run in (run_phase3, simulate_phase3):
-        trace = Trace(round_offset=5)
+    for run in (kernel_run, engine_run):
+        trace = Trace(round_offset=offset)
         try:
-            out = run(residual, trace=trace)
+            out = run(*args, trace=trace)
         except SleepColorError as exc:
             out = exc
         runs.append((out, trace))
@@ -137,11 +136,8 @@ def assert_same_phase3(residual: ColoringInstance):
         _assert_same_outcome(kernel, engine)
     else:
         assert (type(kernel), str(kernel)) == (type(engine), str(engine))
-        if isinstance(kernel, RunIncomplete):
-            for name in ("awake_rounds", "termination_round", "rounds_executed"):
-                assert getattr(kernel.partial, name) == getattr(engine.partial, name), name
     _assert_same_trace(kernel_trace, engine_trace)
-    return kernel, kernel_trace
+    return kernel, engine, kernel_trace
 
 
 def _assert_same_outcome(kernel: PhaseOutcome, engine: PhaseOutcome) -> None:

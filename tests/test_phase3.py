@@ -211,7 +211,7 @@ def test_phase3_deterministic():
     ("regular", 64, 6),
     ("gnp", 300, 0.03),
 ])
-def test_kernel_matches_engine_driver(family, n, param):
+def test_kernel_matches_engine_run(family, n, param):
     inst = make_default_instance(generate(family, n, seed=n, param=param))
     assert_same_phase3(inst)
     for seed in range(3):
@@ -224,7 +224,7 @@ def test_kernel_matches_engine_driver(family, n, param):
             assert_same_phase3(residual)
 
 
-def test_kernel_matches_engine_driver_on_examples_and_random_residuals():
+def test_kernel_matches_engine_run_on_examples_and_random_residuals():
     examples = [
         make_instance(build_graph([], [0, 5]), {0: (4, 9), 5: (2,)}),       # one class
         make_instance(build_graph([(0, 1)], [0, 1]), {0: (1, 2), 1: (1, 2)}),
@@ -233,7 +233,7 @@ def test_kernel_matches_engine_driver_on_examples_and_random_residuals():
         assert_same_phase3(inst)
 
 
-def test_kernel_matches_engine_driver_on_ids_past_64_bits():
+def test_kernel_matches_engine_run_on_ids_past_64_bits():
     big = [2**63, 2**63 + 1, 2**64 + 5, 2**70 - 1]
     edges = [(big[0], big[1]), (big[0], big[2]), (big[0], big[3]), (big[0], 4),
              (big[2], 9), (9, 12), (big[1], big[3])]
