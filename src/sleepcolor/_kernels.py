@@ -10,8 +10,10 @@ order and the same adoption rule as `Phase1Program` and `Phase2Program`.
 The words come from `rng`'s lane layer, many streams per big-int operation:
 every proposing node takes words rnd + 1 (the coin) and rnd + 2 (the index)
 of its stream in the iteration that starts at round rnd.  One function,
-`propose_resolve`, is the iteration for all three callers.  The engine stays
-the reference; the tests compare the two.
+`propose_resolve`, is the iteration for all three callers.  The Monte Carlo
+trials lay a chunk of lanes out as disjoint copies of the instance, one copy
+per trial, so one call resolves the whole chunk.  The engine stays the
+reference; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -277,26 +279,31 @@ def phase1_trial_counts(
     the round engine with run seed (seed_base + t): every node proposes 0
     with probability 1/2, otherwise a uniform color from its list, and
     adopts iff its proposal is nonzero and no neighbor proposed the same
-    color.
+    color.  Each chunk of lanes is one `propose_resolve` call over `per`
+    disjoint copies of the instance: the chunk's trial t runs on copy t,
+    positions t*n .. t*n+n-1, whose lanes hold (seed t, node i) as
+    `Lanes.stream_states` lays them out; a partial last chunk uses fewer
+    copies.  Position t*n + i counts node i's adoptions in copy t.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     ids, neighbors, lists = instance_arrays(instance)
     for v, lst in zip(ids, lists):
         if not lst:
             raise out_of_colors(v)
     n = len(ids)
-    live = range(n)
-    proposal = [0] * n
-    counts = [0] * n
     per = max(1, _CHUNK // n)            # whole trials per chunk of lanes
+    copies = neighbors if per == 1 else [
+        tuple(t * n + j for j in ns) for t in range(per) for ns in neighbors]
+    lists = lists * per
+    proposal = [0] * (per * n)
+    counts = [0] * (per * n)
     lanes = Lanes(per * n)
     for t0 in range(0, trials, per):
         seeds = range(seed_base + t0, seed_base + min(t0 + per, trials))
         if len(seeds) < per:
             lanes = Lanes(len(seeds) * n)
         coins, words = _draws(lanes, lanes.stream_states(seeds, ids), 1)
-        for lo in range(0, lanes.k, n):
-            hi = lo + n
-            for i in propose_resolve(live, coins[lo:hi], words[lo:hi], lists, neighbors,
-                                     proposal):
-                counts[i] += 1
-    return {v: counts[i] for i, v in enumerate(ids)}
+        for i in propose_resolve(range(lanes.k), coins, words, lists, copies, proposal):
+            counts[i] += 1
+    return {v: sum(counts[i::n]) for i, v in enumerate(ids)}

@@ -2,15 +2,17 @@
 
 For tiny instances the joint distribution of one propose round is small
 enough to enumerate exactly: each node draws 0 with probability 1/2 and
-each of its list colors with probability 1/(2|L|).  Everything here uses
-exact rationals, so bound checks like "adoption probability >= 1/4" carry
-no floating-point risk.  Doubles as the calibration target for the Monte
-Carlo paths through the simulator.
+each of its list colors with probability 1/(2|L|).  The enumeration sums
+integer weights over a common denominator and returns exact rationals, so
+bound checks like "adoption probability >= 1/4" carry no floating-point
+risk.  Doubles as the calibration target for the Monte Carlo paths through
+the simulator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import _kernels
@@ -20,17 +22,18 @@ from .graph import ColoringInstance, build_graph, make_instance
 ENUMERATION_GUARD = 10**7
 
 
-def choice_space(instance: ColoringInstance) -> dict[int, list[tuple[int, Fraction]]]:
-    """Per node: weighted outcomes [(0, 1/2)] + [(c, 1/(2|L|)) for c in L]."""
+def choice_space(instance: ColoringInstance) -> dict[int, list[tuple[int, int]]]:
+    """Per node: integer-weighted outcomes [(0, |L|)] + [(c, 1) for c in L].
+
+    The weights sum to 2|L|, so outcome (c, w) has probability w / (2|L|):
+    1/2 for the 0 draw and 1/(2|L|) for each list color.
+    """
     space = {}
     for v in instance.graph.nodes:
         lst = instance.lists[v]
         if not lst:
             raise _kernels.out_of_colors(v)
-        w = Fraction(1, 2 * len(lst))
-        outcomes = [(0, Fraction(1, 2))] + [(c, w) for c in lst]
-        assert sum(weight for _, weight in outcomes) == 1
-        space[v] = outcomes
+        space[v] = [(0, len(lst))] + [(c, 1) for c in lst]
     return space
 
 
@@ -45,23 +48,26 @@ def _guard(instance: ColoringInstance) -> None:
 
 
 def exact_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fraction]:
-    """Exact per-node probability of adopting in one iteration."""
+    """Exact per-node probability of adopting in one iteration.
+
+    Every joint outcome weighs the product of its nodes' integer weights,
+    over the common denominator, the product of the nodes' weight sums.
+    """
     _guard(instance)
     g = instance.graph
     nodes = g.nodes
-    space = choice_space(instance)
-    probs = [Fraction(0)] * len(nodes)
-    for joint in itertools.product(*(space[v] for v in nodes)):
-        weight = Fraction(1)
-        for _, w in joint:
-            weight *= w
+    space = list(choice_space(instance).values())     # in node order
+    total = math.prod(sum(w for _, w in outcomes) for outcomes in space)
+    hits = [0] * len(nodes)
+    for joint in itertools.product(*space):
+        weight = math.prod(w for _, w in joint)
         for i, nbrs in enumerate(g.neighbors):
             cv = joint[i][0]
             if cv == 0:
                 continue
             if all(joint[j][0] != cv for j in nbrs):
-                probs[i] += weight
-    return dict(zip(nodes, probs))
+                hits[i] += weight
+    return {v: Fraction(h, total) for v, h in zip(nodes, hits)}
 
 
 def exact_expected_uncolored_after_one_iteration(instance: ColoringInstance) -> Fraction:
@@ -79,6 +85,8 @@ def monte_carlo_adoption(
     through the round engine (see `_kernels`), so this estimates exactly
     the distribution the simulator realizes.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     counts = _kernels.phase1_trial_counts(instance, seed_base, trials)
     return {v: Fraction(c, trials) for v, c in counts.items()}
 

@@ -4,13 +4,17 @@ These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
 the kernels of phases 1, 2 and 3, one scalar draw at a time instead of lanes
-in the gnp generator) so that agreement between the two is meaningful.
+in the gnp generator, a product of `Fraction`s per joint outcome instead of
+the oracle's integer weights) so that agreement between the two is
+meaningful.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 from sleepcolor.coloring import interim_palette, linial_step
 from sleepcolor.coloring.phase1 import PhaseOutcome, run_phase1, simulate_phase1
@@ -178,3 +182,23 @@ def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
             row_len -= 1
         edges.append((i, i + 1 + (k - row_start)))
     return edges
+
+
+def reference_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fraction]:
+    """`oracle.exact_adoption_probabilities` multiplying `Fraction`s: each node
+    draws 0 with weight 1/2 and each list color with weight 1/(2|L|)."""
+    g = instance.graph
+    space = []
+    for v in g.nodes:
+        w = Fraction(1, 2 * len(instance.lists[v]))
+        space.append([(0, Fraction(1, 2))] + [(c, w) for c in instance.lists[v]])
+    probs = [Fraction(0)] * len(g.nodes)
+    for joint in itertools.product(*space):
+        weight = Fraction(1)
+        for _, w in joint:
+            weight *= w
+        for i, nbrs in enumerate(g.neighbors):
+            cv = joint[i][0]
+            if cv != 0 and all(joint[j][0] != cv for j in nbrs):
+                probs[i] += weight
+    return dict(zip(g.nodes, probs))

@@ -1,3 +1,5 @@
+import pytest
+
 from sleepcolor import _kernels
 from sleepcolor.coloring import Phase1Program
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
@@ -57,6 +59,28 @@ def test_trial_chunks_match_engine_at_their_edges():
         assert _kernels.phase1_trial_counts(inst, seed_base, 50) == \
             engine_counts(inst, seed_base, 50)
     assert _kernels.phase1_trial_counts(inst, 9, 0) == {v: 0 for v in inst.graph.nodes}
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        _kernels.phase1_trial_counts(inst, 1, -5)
+
+
+def test_trial_copies_match_engine():
+    # one node: 2048 copies per chunk, none with neighbors
+    single = make_instance(build_graph([], [7]), {7: (1, 2, 3)})
+    assert _kernels._CHUNK == 2048
+    assert _kernels.phase1_trial_counts(single, 3, 2050) == engine_counts(single, 3, 2050)
+    # four nodes divide the chunk: 512 copies, and the chunk edges around them
+    inst = make_default_instance(build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], range(4)))
+    assert _kernels._CHUNK % 4 == 0
+    for trials in (512, 513, 1024):
+        assert _kernels.phase1_trial_counts(inst, 21, trials) == \
+            engine_counts(inst, 21, trials)
+    # fewer trials than copies: one partial chunk
+    assert _kernels.phase1_trial_counts(inst, 8, 100) == engine_counts(inst, 8, 100)
+    # isolated and connected nodes with far-apart ids: copies are offset by
+    # positions, not ids
+    g = build_graph([(10, 70), (70, 300)], [10, 70, 300, 2**63])
+    mixed = make_instance(g, {10: (5, 9), 70: (5, 9, 17), 300: (9, 17), 2**63: (9,)})
+    assert _kernels.phase1_trial_counts(mixed, 404, 700) == engine_counts(mixed, 404, 700)
 
 
 def test_instance_arrays_layout():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_adoption_probabilities
 from sleepcolor.errors import TooLargeForOracle
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.oracle import (
@@ -47,10 +48,20 @@ def test_triangle_default_lists():
     assert expected <= Fraction(9, 4)
 
 
-def test_choice_space_weights_sum_to_one_exactly():
+def test_choice_space_weights_sum_to_twice_the_list_size():
     inst = make_default_instance(generate("clique", 4, seed=0))
-    for outcomes in choice_space(inst).values():
-        assert sum(w for _, w in outcomes) == 1
+    for v, outcomes in choice_space(inst).items():
+        assert outcomes[0] == (0, len(inst.lists[v]))
+        assert sum(w for _, w in outcomes) == 2 * len(inst.lists[v])
+
+
+def test_exact_probabilities_match_fraction_product_reference():
+    for name, inst in tiny_catalog():
+        assert exact_adoption_probabilities(inst) == \
+            reference_adoption_probabilities(inst), name
+    g = build_graph([(10, 70), (70, 300)], [10, 70, 300])
+    inst = make_instance(g, {10: (5, 9), 70: (5, 9, 17), 300: (9, 17)})
+    assert exact_adoption_probabilities(inst) == reference_adoption_probabilities(inst)
 
 
 def test_catalog_shape_and_admissibility():
@@ -88,3 +99,9 @@ def test_monte_carlo_matches_oracle_on_edge():
     sigma = math.sqrt(p * (1 - p) / trials)
     for v in (0, 1):
         assert abs(float(freq[v]) - p) <= 4 * sigma
+
+
+def test_monte_carlo_rejects_fewer_than_one_trial():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            monte_carlo_adoption(_edge_12(), 1, trials)
