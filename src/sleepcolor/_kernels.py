@@ -1,24 +1,24 @@
 """Phases 1 and 2 on node positions: the pipeline's runs and the Monte Carlo trials.
 
-Phase 1 is most of every pipeline run, the Monte Carlo checks run hundreds
-of thousands of first phase-1 iterations, and phase 2 repeats the same
-iteration on the region around the high-degree nodes.  Going through the
-round engine costs an `Action`, a sends dict and a routed message per
-node-round, so this module runs the propose/resolve iteration directly on
-node positions, bit for bit: the same SplitMix64 streams, the same draw
-order and the same adoption rule as `Phase1Program` and `Phase2Program`.
-The words come from `rng`'s lane layer, many streams per big-int operation:
-every proposing node takes words rnd + 1 (the coin) and rnd + 2 (the index)
-of its stream in the iteration that starts at round rnd.  One function,
-`propose_resolve`, is the iteration for all three callers.  The Monte Carlo
-trials lay a chunk of lanes out as disjoint copies of the instance, one copy
-per trial, so one call resolves the whole chunk.  The engine stays the
+Going through the round engine costs an `Action`, a sends dict and a routed
+message per node-round, so this module runs the propose/resolve iteration
+directly on node positions, bit for bit: the same SplitMix64 streams, draw
+order and adoption rule as `Phase1Program` and `Phase2Program`.  Every
+proposing node takes words rnd + 1 (the coin) and rnd + 2 (the index) of
+its stream in the iteration that starts at round rnd, drawn on `rng`'s
+lanes, many streams per big-int operation.  `propose_resolve` is the
+iteration, and `run_iterations` the one loop around it for both phases:
+phase 2 runs it on the region around the high-degree nodes, and phase 1 is
+the region in which every node is in ring 1.  The Monte Carlo trials lay a
+chunk of lanes out as disjoint copies of the instance, one per trial, so one
+`propose_resolve` call resolves the whole chunk.  The engine stays the
 reference; the tests compare the two.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 
 from .errors import AlgorithmInvariantViolation
 from .graph import ColoringInstance
@@ -121,126 +121,91 @@ def propose_resolve(live, coins, words, lists, neighbors, proposal) -> list[int]
     return adopters
 
 
-def phase1_run(instance: ColoringInstance, iterations: int, seed: int, trace=None):
-    """Phase 1 for at most `iterations` iterations, as the engine runs it.
+def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations: int,
+                   seed: int, trace=None, where: str = "(inadmissible instance?)"):
+    """The engine's `Phase2Program` run on the region that `roles` marks, for
+    at most `iterations` iterations; its `Phase1Program` run if all are ring 1.
 
+    roles[i] is CORE, RING1 or RING2 for the region's positions and None
+    elsewhere; every neighbor of a core or ring1 node is in the region.
     Returns (colors, awake_rounds, termination_round, rounds_executed,
-    lists), all keyed by node id and ordered as the engine orders them:
-    colors by termination round, then id; the rest by id.  `lists` holds
-    every survivor's list minus its adopted neighbors' colors.  The run
-    stops early once every node has adopted.  With a `Trace`, it records
-    the engine's events: node events in id order per round, and message
-    events in (sender, receiver) order, delivered iff the receiver was
-    live in that round.
+    lists) over the region's ids, colors in the engine's order (termination
+    round, then id).  `lists` holds the survivors' lists minus their adopted
+    neighbors' colors.  An adoption prunes the lists of the neighbors awake
+    in its resolve round; an awake node that neither proposed nor heard a
+    proposal sleeps out the window (2*iterations rounds); a proposer with an
+    empty list raises `out_of_colors(v, where)`.  A `Trace` gets the
+    engine's events: node events in id order per round, message events in
+    (sender, receiver) order, delivered iff the receiver was awake.
+
+    Ring1 nodes always propose, ring2 nodes never, and a core node while its
+    degree (its neighbors minus the adoptions it heard) is at least
+    `threshold`.  While it proposes, that degree is its number of awake
+    neighbors: they are core or ring1, a ring1 node never sleeps, and a core
+    node sleeps only after an iteration in which no neighbor proposed.
+    Degrees only fall, and only on adoptions, so the proposers are recounted
+    only then; every proposer proposed in every earlier iteration.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     ids, neighbors, lists = instance_arrays(instance)
     n = len(ids)
-    state = _stream_states(seed, ids)
-    proposal = [0] * n
-    alive = [True] * n
-    live = list(range(n))
-    term = [0] * n
-    colors: dict[int, int] = {}
-    emptied = [i for i in live if not lists[i]]
-    rnd = 0
-    for _ in range(iterations):
-        if not live:
-            break
-        if emptied:
-            raise out_of_colors(ids[min(emptied)])
-        coins, words = _live_draws(state, live, rnd + 1)
-        adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
-        rnd += 2
-        if trace is not None:
-            _trace_iteration(trace, rnd, ids, live, live, adopters, {}, neighbors, alive)
-        for a in adopters:
-            alive[a] = False
-            term[a] = rnd
-            colors[ids[a]] = proposal[a]
-        for a in adopters:
-            c = proposal[a]
-            proposal[a] = 0
-            for j in neighbors[a]:
-                if alive[j] and c in lists[j] and not _prune(lists, j, c):
-                    emptied.append(j)
-        if adopters:
-            live = [i for i in live if alive[i]]
-    awake_rounds = {v: term[i] or rnd for i, v in enumerate(ids)}
-    termination = {v: term[i] for i, v in enumerate(ids) if term[i]}
-    survivors = {ids[i]: tuple(lists[i]) for i in live}
-    return colors, awake_rounds, termination, rnd, survivors
-
-
-def phase2_run(instance: ColoringInstance, roles, threshold: int, iteration_cap: int,
-               seed: int, trace=None):
-    """Phase 2 on the region that `roles` marks, as the engine runs `Phase2Program`.
-
-    roles[i] is CORE, RING1 or RING2 for the region's positions and None
-    elsewhere; every neighbor of a core or ring1 node is in the region.
-    Returns what `phase1_run` returns, keyed by the region's ids: colors,
-    awake rounds, termination rounds, rounds executed and the survivors'
-    pruned lists.  Each iteration, the proposers run `propose_resolve`; an
-    adoption prunes the lists and lowers the degrees of the neighbors awake
-    in that resolve round; and an awake node that neither proposed nor
-    heard a proposal sleeps out the window (2*iteration_cap rounds).
-    """
-    ids, neighbors, lists = instance_arrays(instance)
-    n = len(ids)
-    last = 2 * iteration_cap
-    region = [i for i in range(n) if roles[i]]
+    last = 2 * iterations
+    region = list(compress(range(n), roles))
+    core = [i for i in region if roles[i] is CORE]
     listening = region                                 # awake, in id order
-    # A node proposes while it is ring1, or core at or above the threshold.
-    # Degrees only fall and nobody wakes inside the window, so that status
-    # only switches off: every proposer proposed in every earlier iteration
-    # and takes words rnd + 1 and rnd + 2 of its stream, as in phase 1.
-    live = [i for i in listening if roles[i] is not RING2]
-    state = dict(zip(live, _stream_states(seed, [ids[i] for i in live])))
-    degree = [len(ns) for ns in neighbors]
+    live = [i for i in region if roles[i] is not RING2]   # proposers, in id order
+    state = _stream_states(seed, ids)
     awake = [r is not None for r in roles]
     heard = [0] * n          # last resolve round a node proposed or heard a proposal
     stop = [0] * n           # the round it terminated or fell asleep
     proposal = [0] * n
     colors: dict[int, int] = {}
+    termination = {}         # the adopters' termination rounds, as they adopt
+    emptied = not all(lists)
     rnd = 0
     while listening and rnd < last:
-        live = [i for i in live
-                if awake[i] and (roles[i] is RING1 or degree[i] >= threshold)]
-        for i in live:
-            if not lists[i]:
-                raise out_of_colors(ids[i], "in degree reduction")
+        if emptied:
+            for i in live:
+                if not lists[i]:
+                    raise out_of_colors(ids[i], where)
+            emptied = False  # the emptied lists belong to nodes that never propose again
         coins, words = _live_draws(state, live, rnd + 1)
         adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
         rnd += 2
-        for i in live:
-            heard[i] = rnd
-            for j in neighbors[i]:
-                heard[j] = rnd
-        dropped = [i for i in listening if heard[i] != rnd]
+        dropped = []
+        if len(live) < len(listening):   # only a listener that did not propose can drop
+            for i in live:
+                heard[i] = rnd
+                for j in neighbors[i]:
+                    heard[j] = rnd
+            dropped = [i for i in listening if heard[i] != rnd]
         if trace is not None:
             act = f"sleep:{last - rnd}" if rnd < last else "cont"
             _trace_iteration(trace, rnd, ids, listening, live, adopters,
                              dict.fromkeys(dropped, act), neighbors, awake)
         for a in adopters:
             awake[a] = False
-            stop[a] = rnd
+            stop[a] = termination[ids[a]] = rnd
             colors[ids[a]] = proposal[a]
         for a in adopters:
             c = proposal[a]
+            proposal[a] = 0
             for j in neighbors[a]:
-                if awake[j]:
-                    degree[j] -= 1
-                    if c in lists[j]:
-                        _prune(lists, j, c)
-        for i in live:
-            proposal[i] = 0      # so that only next iteration's proposers can clash
+                if awake[j] and c in lists[j] and not _prune(lists, j, c):
+                    emptied = True
         for i in dropped:
             awake[i] = False
             stop[i] = rnd
-        listening = [i for i in listening if awake[i]]
+        if adopters:
+            live = [i for i in live if awake[i] and (
+                roles[i] is RING1 or sum([awake[j] for j in neighbors[i]]) >= threshold)]
+            for i in core:
+                proposal[i] = 0  # so that only next iteration's proposers can clash
+        if adopters or dropped:   # the listeners are the proposers if as many
+            kept = len(listening) - len(adopters) - len(dropped)
+            listening = live if len(live) == kept else [i for i in listening if awake[i]]
     awake_rounds = {ids[i]: stop[i] or rnd for i in region}
-    termination = {ids[i]: stop[i] for i in region if ids[i] in colors}
     survivors = {ids[i]: tuple(lists[i]) for i in region if ids[i] not in colors}
     return colors, awake_rounds, termination, rnd, survivors
 

@@ -10,7 +10,9 @@ Adoption announcements land in the neighbors' buffers and are pruned from
 their lists at the start of the next propose round, so probabilities are
 always computed over the current list.
 
-`run_phase1` runs this on node positions (`_kernels.phase1_run`).
+`run_phase1` runs this on node positions through `_kernels.run_iterations`,
+the one loop for phases 1 and 2: phase 1 is phase 2's region with every
+node in ring 1, where a node proposes in every iteration until it adopts.
 `simulate_phase1` runs `Phase1Program` through the round engine; it is the
 reference the kernel must match bit for bit, trace included.
 """
@@ -101,11 +103,13 @@ def run_phase1(
 ) -> PhaseOutcome:
     """Run phase 1 for at most 2*iterations rounds and extract the residual.
 
-    The run goes through `_kernels.phase1_run`, which gives the same
-    outcome and trace as `simulate_phase1`, the round engine's run.
+    The run goes through `_kernels.run_iterations` with every node in ring
+    1, which gives the same outcome and trace as `simulate_phase1`, the
+    round engine's run.
     """
-    colors, awake, term, rounds, lists = _kernels.phase1_run(
-        instance, iterations, seed, trace=trace
+    colors, awake, term, rounds, lists = _kernels.run_iterations(
+        instance, [_kernels.RING1] * instance.graph.node_count, 0, iterations, seed,
+        trace=trace,
     )
     return PhaseOutcome(
         colors=colors,

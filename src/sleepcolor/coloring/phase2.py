@@ -19,10 +19,12 @@ empty-core shortcut are computed centrally from the residual instance;
 this stands in for a two-round announcement cascade that a strict
 message-passing deployment would run.
 
-`run_phase2` runs this on node positions (`_kernels.phase2_run`).
-`simulate_phase2` runs `Phase2Program` through the round engine; it is the
-reference the kernel must match bit for bit, trace included.  Both take the
-region and build the residual in `_degree_reduction`.
+`run_phase2` runs this on node positions through `_kernels.run_iterations`,
+the same loop that runs phase 1 (phase 1 is the region in which every node
+is in ring 1).  `simulate_phase2` runs `Phase2Program` through the round
+engine; it is the reference the kernel must match bit for bit, trace
+included.  Both take the region and build the residual in
+`_degree_reduction`.
 """
 
 from __future__ import annotations
@@ -102,13 +104,15 @@ def run_phase2(
 
     Returns immediately (zero rounds, zero awake) when no node reaches the
     threshold.  Otherwise the region runs for at most `iteration_cap`
-    iterations (two rounds each) through `_kernels.phase2_run`, which gives
-    the same outcome and trace as `simulate_phase2`, the round engine's run.
+    iterations (two rounds each) through `_kernels.run_iterations`, which
+    gives the same outcome and trace as `simulate_phase2`, the round
+    engine's run.
     """
     return _degree_reduction(
         residual, threshold, iteration_cap,
-        lambda roles: _kernels.phase2_run(residual, roles, threshold, iteration_cap,
-                                          seed, trace=trace),
+        lambda roles: _kernels.run_iterations(residual, roles, threshold, iteration_cap,
+                                              seed, trace=trace,
+                                              where="in degree reduction"),
     )
 
 

@@ -174,12 +174,10 @@ def make_default_instance(graph: Graph) -> ColoringInstance:
 
 @dataclass
 class Coloring:
-    """A (possibly partial) color assignment; UNCOLORED (=0) marks absent."""
+    """A (possibly partial) color assignment, node id -> color; uncolored nodes
+    are absent."""
 
     assignment: dict[int, int] = field(default_factory=dict)
-
-    def color(self, v: int) -> int:
-        return self.assignment.get(v, UNCOLORED)
 
 
 # ---------------------------------------------------------------------------

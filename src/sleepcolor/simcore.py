@@ -54,9 +54,6 @@ class Action:
             raise ProgramError("sleep_rounds must be >= 1 when sleeping")
 
 
-CONTINUE = Action()
-
-
 @dataclass
 class NodeContext:
     """Per-node view handed to programs: identity, topology, stream, state."""

@@ -79,29 +79,23 @@ def random_residual_instance(trial: int, max_n: int = 60) -> ColoringInstance:
     return make_instance(graph, lists)
 
 
-def assert_same_phase1(instance: ColoringInstance, iterations: int,
-                       seed: int) -> PhaseOutcome:
+def assert_same_phase1(instance: ColoringInstance, iterations: int, seed: int):
     """`run_phase1` (the kernel) and `simulate_phase1` (the engine) agree.
 
     Every `PhaseOutcome` field, the colors' order, the trace events and the
-    rendered trace at a nonzero round offset must be identical.  Returns the
-    kernel's outcome.
+    rendered trace at a nonzero round offset must be identical, and a run
+    that raises must raise the same error after the same trace events.
+    Returns the kernel's outcome (or error).
     """
-    kernel_trace, engine_trace = Trace(round_offset=7), Trace(round_offset=7)
-    kernel = run_phase1(instance, iterations, seed, trace=kernel_trace)
-    engine = simulate_phase1(instance, iterations, seed, trace=engine_trace)
-    _assert_same_outcome(kernel, engine)
-    _assert_same_trace(kernel_trace, engine_trace)
-    return kernel
+    return _run_both(run_phase1, simulate_phase1, 7, instance, iterations, seed)[0]
 
 
 def assert_same_phase2(residual: ColoringInstance, threshold: int, iteration_cap: int,
                        seed: int):
     """`run_phase2` (the kernel) and `simulate_phase2` (the engine) agree.
 
-    As `assert_same_phase1`, and a run that raises must raise the same error
-    after the same trace events.  Returns the kernel's outcome (or error)
-    and its trace, whose round offset is 11.
+    As `assert_same_phase1`.  Returns the kernel's outcome (or error) and
+    its trace, whose round offset is 11.
     """
     kernel, _, trace = _run_both(run_phase2, simulate_phase2, 11,
                                  residual, threshold, iteration_cap, seed)

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import assert_same_phase1, random_residual_instance
 from sleepcolor import _kernels
-from sleepcolor.errors import AlgorithmInvariantViolation, SleepColorError
+from sleepcolor.errors import AlgorithmInvariantViolation
 from sleepcolor.graph import (
     ColoringInstance,
     build_graph,
@@ -16,7 +16,6 @@ from sleepcolor.coloring import run_phase1
 from sleepcolor.coloring.phase1 import simulate_phase1
 from sleepcolor.metrics import validity_verdict
 from sleepcolor.oracle import exact_adoption_probabilities
-from sleepcolor.simcore import Trace
 
 
 def test_isolated_node_adopts_iff_nonzero_draw():
@@ -150,25 +149,14 @@ def test_kernel_matches_engine_driver_on_irregular_lists_and_large_ids():
         assert_same_phase1(inst, 3, seed)
 
 
-def _run_or_error(run, inst, iterations, seed):
-    trace = Trace()
-    try:
-        out = run(inst, iterations, seed, trace=trace)
-    except SleepColorError as exc:
-        out = (type(exc), str(exc))
-    return out, trace.node_events, trace.msg_events
-
-
 def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
     # ColoringInstance(...) skips make_instance's deg+1 check
     inst = ColoringInstance(build_graph([(0, 1), (1, 2)], [0, 1, 2]),
                             {0: (1,), 1: (1, 2), 2: (2,)})
     emptied = 0
     for seed in range(40):
-        kernel = _run_or_error(run_phase1, inst, 4, seed)
-        assert kernel == _run_or_error(simulate_phase1, inst, 4, seed)
-        out = kernel[0]
-        emptied += isinstance(out, tuple) and out[0] is AlgorithmInvariantViolation
+        out = assert_same_phase1(inst, 4, seed)
+        emptied += isinstance(out, AlgorithmInvariantViolation)
     assert emptied > 0
     empty = ColoringInstance(build_graph([], [3, 8]), {3: (5,), 8: ()})
     for run in (run_phase1, simulate_phase1, _kernels.phase1_trial_counts,
@@ -187,7 +175,5 @@ def test_kernel_and_engine_prune_every_occurrence_of_a_repeated_color():
     inst = ColoringInstance(build_graph([(0, 1)], [0, 1]), {0: (1,), 1: (1, 1, 2)})
     outcomes = set()
     for seed in range(40):
-        kernel = _run_or_error(run_phase1, inst, 3, seed)
-        assert kernel == _run_or_error(simulate_phase1, inst, 3, seed)
-        outcomes.add(type(kernel[0]).__name__)
+        outcomes.add(type(assert_same_phase1(inst, 3, seed)).__name__)
     assert "PhaseOutcome" in outcomes

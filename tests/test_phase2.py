@@ -159,3 +159,19 @@ def test_core_node_below_threshold_keeps_listening():
             if out.residual is not None:
                 assert not set(out.colors.values()) & set(out.residual.lists[0])
     assert listened > 0
+
+
+def test_core_node_degree_counts_its_awake_neighbors():
+    # a double star: adjacent centres 0 and 1, five leaves each.  Both are
+    # core (degree 6 >= 5); once a leaf adopts, a centre stops proposing,
+    # and it sleeps after an iteration in which no neighbor proposed.  The
+    # kernel counts a proposing centre's degree as its awake neighbors,
+    # which holds only because a centre sleeps no earlier than that.
+    edges = [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)]
+    inst = make_default_instance(build_graph(edges, list(range(12))))
+    slept = 0
+    for seed in range(60):
+        _out, trace = assert_same_phase2(inst, 5, 40, seed)
+        slept += any(v in (0, 1) and act.startswith("sleep:")
+                     for _t, v, act in trace.node_events)
+    assert slept > 0

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_same_phase1, assert_same_phase2, assert_same_phase3
-from sleepcolor.coloring import PipelineConfig, phase2, phase3, run_pipeline
+from sleepcolor.coloring import PipelineConfig, phase1, phase2, phase3, run_pipeline
 from sleepcolor.errors import InternalError, RunIncomplete
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.metrics import collect
@@ -95,9 +95,9 @@ def test_forced_phase2_window_and_phase3_offsets():
     assert all(t > s3 for t in phase3_terms)
 
 
-def test_pipeline_runs_phase2_on_the_kernel(monkeypatch):
+def test_pipeline_never_runs_the_engine(monkeypatch):
     # the engine runs are the references only: the pipeline never reaches
-    # them, in phase 2 or in phase 3
+    # them, in phase 1, 2 or 3
     inst = make_default_instance(generate("gnp", 200, seed=4, param=0.05))
     cfg = PipelineConfig(seed=4, k1=1, phase2_degree_threshold=5)
     plain = Trace()
@@ -107,6 +107,7 @@ def test_pipeline_runs_phase2_on_the_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a phase ran on the round engine")
 
+    monkeypatch.setattr(phase1, "run_simulation", refuse)
     monkeypatch.setattr(phase2, "run_simulation", refuse)
     monkeypatch.setattr(phase3, "run_simulation", refuse)
     patched = Trace()
