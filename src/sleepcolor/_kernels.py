@@ -28,7 +28,7 @@ from .rng import Lanes, pack
 # overhead vanishes, small enough that the ints stay in cache.
 _CHUNK = 2048
 
-# Phase-2 region roles (see `coloring.phase2`).
+# Region roles (see `coloring.phase2`); phase 1 puts every node in ring 1.
 CORE = "core"
 RING1 = "ring1"
 RING2 = "ring2"
