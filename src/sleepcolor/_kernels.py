@@ -157,7 +157,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     live = [i for i in region if roles[i] is not RING2]   # proposers, in id order
     state = _stream_states(seed, ids)
     awake = [r is not None for r in roles]
-    heard = [0] * n          # last resolve round a node proposed or heard a proposal
+    heard = None             # last resolve round a node proposed or heard a proposal
     stop = [0] * n           # the round it terminated or fell asleep
     proposal = [0] * n
     colors: dict[int, int] = {}
@@ -175,6 +175,8 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
         rnd += 2
         dropped = []
         if len(live) < len(listening):   # only a listener that did not propose can drop
+            if heard is None:
+                heard = [0] * n
             for i in live:
                 heard[i] = rnd
                 for j in neighbors[i]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import oracle
@@ -100,44 +101,46 @@ def _instance_for(args, family, n, param, seed: int):
     return family, param, make_default_instance(graph)
 
 
-def _sweep(args, family, n, param):
-    """Run the seed sweep, returning (csv rows, metrics list, traces, exit code)."""
+def _sweep(args, family, n, param, trace_out=None):
+    """Run the seed sweep, returning (csv rows, metrics list, exit code).
+
+    With `trace_out`, each run's trace goes there as soon as the run ends,
+    under a `# run seed=S` line, and is dropped before the next run starts.
+    """
     rows = []
     metrics_list = []
-    traces = []
     code = 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
         label, run_param, inst = _instance_for(args, family, n, param, seed)
         size = inst.graph.node_count
         config = _config_from_args(args, seed)
         resolved = config.resolve(size)
-        trace = Trace() if getattr(args, "trace", None) else None
+        trace = None if trace_out is None else Trace()
         _, metrics = run_pipeline(inst, config, trace=trace)
+        if trace is not None:
+            trace_out.write(f"# run seed={seed}\n")
+            trace_out.writelines(trace.chunks())
+            del trace
         rows.append(metrics.csv_row(seed, label, size, run_param,
                                     resolved.k1, resolved.phase2_degree_threshold))
         metrics_list.append(metrics)
-        if trace is not None:
-            traces.append((seed, trace))
         if metrics.validity != "proper_total":
             code = 1
-    return rows, metrics_list, traces, code
+    return rows, metrics_list, code
 
 
 def cmd_run(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    rows, _metrics, traces, code = _sweep(args, args.family, args.n, args.param)
+    with (open(args.trace, "w", encoding="utf-8") if args.trace
+          else nullcontext()) as trace_out:
+        rows, _metrics, code = _sweep(args, args.family, args.n, args.param, trace_out)
     header = _config_from_args(args, args.seed_base).kv_block()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(fh, rows, header)
     else:
         write_csv(sys.stdout, rows, header)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for seed, trace in traces:
-                fh.write(f"# run seed={seed}\n")
-                fh.write(trace.render())
     return code
 
 
@@ -179,7 +182,7 @@ def cmd_scaling(args) -> int:
         param = args.param
         if family == "gnp":
             param = (param if param is not None else 8.0) / n
-        rows, metrics, _traces, c = _sweep(args, family, n, param)
+        rows, metrics, c = _sweep(args, family, n, param)
         code = max(code, c)
         all_rows.extend(rows)
         summary = aggregate(metrics)

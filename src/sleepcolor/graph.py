@@ -319,15 +319,73 @@ def _regular_edges(n: int, d: int, seed: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
+# Digits that `int` and `str` convert in one piece: below 640, the smallest
+# limit `sys.set_int_max_str_digits` accepts, so no interpreter setting trips
+# the divide-and-conquer conversions below.
+_PIECE_DIGITS = 512
+_PIECE_BITS = 1700                 # 2**1700 < 10**512
+
+
+def parse_decimal(text: str) -> int:
+    """`int(text)` for a decimal numeral of any length.
+
+    Numerals of up to `_PIECE_DIGITS` characters go to `int` as they are;
+    a longer one must be an optional sign and ASCII digits, and is converted
+    by halves, so the interpreter's integer string-conversion limit never
+    applies.  Raises ValueError for anything else.
+    """
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text[:20]}...")
+    value = _parse_digits(digits)
+    return -value if text[0] == "-" else value
+
+
+def _parse_digits(digits: str) -> int:
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
+
+
+def format_decimal(x: int) -> str:
+    """`"%d" % x` for an int of any size, converted by halves past
+    `_PIECE_BITS` bits, so the interpreter's limit never applies."""
+    if x < 0:
+        return "-" + format_decimal(-x)
+    if x.bit_length() <= _PIECE_BITS:
+        return "%d" % x
+    k = x.bit_length() * 3 // 20          # about half the digits (log10 2 > 0.3)
+    hi, lo = divmod(x, 10**k)
+    return format_decimal(hi) + format_decimal(lo).zfill(k)
+
+
+def _ints(fields) -> tuple[int, ...]:
+    """The fields as ints; past the interpreter's digit limit, by halves."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        return tuple(map(parse_decimal, fields))
+
+
+def _line(kind: str, values) -> str:
+    """One record line of ints; past the interpreter's digit limit, by halves."""
+    try:
+        return f"{kind} {' '.join(map(str, values))}\n"
+    except ValueError:
+        return f"{kind} {' '.join(map(format_decimal, values))}\n"
+
+
 def write_instance(instance: ColoringInstance, path: str) -> None:
     g = instance.graph
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"dlc 1 {g.node_count} {g.edge_count()}\n")
         for v in g.nodes:
-            cols = " ".join(str(c) for c in instance.lists[v])
-            fh.write(f"node {v} {cols}\n")
-        for u, v in g.edges():
-            fh.write(f"edge {u} {v}\n")
+            fh.write(_line("node", (v, *instance.lists[v])))
+        for edge in g.edges():
+            fh.write(_line("edge", edge))
 
 
 def read_instance(path: str) -> ColoringInstance:
@@ -359,18 +417,17 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) < 3:
                     raise ParseError("node line needs an id and at least one color", lineno)
                 try:
-                    vid = int(parts[1])
-                    cols = tuple(int(c) for c in parts[2:])
+                    vid, *cols = _ints(parts[1:])
                 except ValueError:
                     raise ParseError("non-integer field in node line", lineno) from None
-                node_lines.append((vid, cols))
+                node_lines.append((vid, tuple(cols)))
             elif kind == "edge":
                 if header is None:
                     raise ParseError("edge line before header", lineno)
                 if len(parts) != 3:
                     raise ParseError("edge line must be 'edge <u> <v>'", lineno)
                 try:
-                    edge_lines.append((int(parts[1]), int(parts[2])))
+                    edge_lines.append(_ints(parts[1:]))
                 except ValueError:
                     raise ParseError("non-integer field in edge line", lineno) from None
             else:

@@ -24,12 +24,15 @@ it is awake, including its terminating round.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ProgramError, RunIncomplete
-from .graph import Graph
+from .graph import Graph, format_decimal
 from .rng import NodeRng
 
 
@@ -71,6 +74,12 @@ class Trace:
 
     Node lines:    t=<round> v=<id> status=A act=<send|sleep:r|term|cont>
     Message lines: msg t=<round> <u>-><v> delivered=<0|1>
+
+    The text lists the rounds in ascending order; within a round, its node
+    lines come first, then its message lines, each kind in recording order.
+    `chunks()` yields that text piece by piece, one piece per round and kind,
+    so a caller can write it out without holding it whole; `render()` joins
+    the pieces.
     """
 
     def __init__(self, round_offset: int = 0):
@@ -84,18 +93,43 @@ class Trace:
     def message(self, rnd: int, u: int, v: int, delivered: bool) -> None:
         self.msg_events.append((rnd + self.round_offset, u, v, delivered))
 
+    def chunks(self) -> Iterator[str]:
+        """The text of `render()`: each round's node lines, then its message
+        lines, one string per round and kind.
+
+        Each event list is sorted stably by round, which takes linear time
+        on the in-order lists that the engine and the kernels record.
+        """
+        nodes = sorted(self.node_events, key=_ROUND)
+        msgs = sorted(self.msg_events, key=_ROUND)
+        i = j = 0
+        for rnd in sorted({*map(_ROUND, nodes), *map(_ROUND, msgs)}):
+            end = bisect_right(nodes, rnd, i, key=_ROUND)
+            if end > i:
+                yield _lines(_NODE_LINE, nodes[i:end])
+                i = end
+            end = bisect_right(msgs, rnd, j, key=_ROUND)
+            if end > j:
+                yield _lines(_MSG_LINE, msgs[j:end])
+                j = end
+
     def render(self) -> str:
-        lines = []
-        by_round: dict[int, list[str]] = {}
-        for rnd, v, act in self.node_events:
-            by_round.setdefault(rnd, []).append(f"t={rnd} v={v} status=A act={act}")
-        for rnd, u, v, ok in self.msg_events:
-            by_round.setdefault(rnd, []).append(
-                f"msg t={rnd} {u}->{v} delivered={1 if ok else 0}"
-            )
-        for rnd in sorted(by_round):
-            lines.extend(by_round[rnd])
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.chunks())
+
+
+_ROUND = itemgetter(0)
+_NODE_LINE = "t=%d v=%d status=A act=%s\n"
+_MSG_LINE = "msg t=%d %d->%d delivered=%d\n"        # a bool prints as 1 or 0
+
+
+def _lines(line: str, events: list[tuple]) -> str:
+    """`line` filled in with each event's fields, in one `%` format."""
+    fields = tuple(chain.from_iterable(events))
+    try:
+        return line * len(events) % fields
+    except ValueError:        # an id past the interpreter's int-to-str digit limit
+        return line.replace("%d", "%s") * len(events) % tuple(
+            [f if f.__class__ is str else format_decimal(f) for f in fields])
 
 
 @dataclass

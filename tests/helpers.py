@@ -5,7 +5,8 @@ package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
 the kernels of phases 1, 2 and 3, one scalar draw at a time instead of lanes
 in the gnp generator, a product of `Fraction`s per joint outcome instead of
-the oracle's integer weights) so that agreement between the two is
+the oracle's integer weights, a dict of lines per round instead of the
+trace's round-sorted chunks) so that agreement between the two is
 meaningful.
 """
 
@@ -148,6 +149,29 @@ def _assert_same_trace(kernel: Trace, engine: Trace) -> None:
     assert kernel.node_events == engine.node_events
     assert kernel.msg_events == engine.msg_events
     assert kernel.render() == engine.render()
+
+
+def reference_render(trace: Trace) -> str:
+    """`Trace.render` as it was first written: one f-string per event,
+    grouped in a dict of lists per round, node lines before message lines."""
+    lines = []
+    by_round: dict[int, list[str]] = {}
+    for rnd, v, act in trace.node_events:
+        by_round.setdefault(rnd, []).append(f"t={rnd} v={v} status=A act={act}")
+    for rnd, u, v, ok in trace.msg_events:
+        by_round.setdefault(rnd, []).append(
+            f"msg t={rnd} {u}->{v} delivered={1 if ok else 0}"
+        )
+    for rnd in sorted(by_round):
+        lines.extend(by_round[rnd])
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Two isolated nodes whose ids, 10**4400 and 10**4400 + 1, have more decimal
+# digits than Python converts with `int()` and `str()` by default (4,300).
+HUGE_ID_DIGITS = ("1" + "0" * 4400, "1" + "0" * 4399 + "1")
+HUGE_ID_DLC = (f"dlc 1 2 0\nnode {HUGE_ID_DIGITS[0]} 1 2\n"
+               f"node {HUGE_ID_DIGITS[1]} 3\n")
 
 
 def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:

@@ -2,13 +2,23 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import sleepcolor
+from helpers import HUGE_ID_DIGITS, HUGE_ID_DLC
+from sleepcolor import cli
 from sleepcolor.cli import fit_line, main
-from sleepcolor.coloring import phase3
-from sleepcolor.graph import build_graph, make_instance, write_instance
+from sleepcolor.coloring import PipelineConfig, phase3, run_pipeline
+from sleepcolor.graph import (
+    build_graph,
+    generate,
+    make_default_instance,
+    make_instance,
+    write_instance,
+)
+from sleepcolor.simcore import Trace
 
 
 def run_cli(args, capsys):
@@ -95,6 +105,37 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert traces[0] == traces[1]
     assert b"# run seed=11" in traces[0]
+
+
+def test_run_streams_each_trace_before_the_next_run(tmp_path, capsys, monkeypatch):
+    refs = []
+    alive_at_start = []
+
+    class TrackedTrace(Trace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    def counting_run_pipeline(instance, config, trace=None):
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+        return run_pipeline(instance, config, trace=trace)
+
+    monkeypatch.setattr(cli, "Trace", TrackedTrace)
+    monkeypatch.setattr(cli, "run_pipeline", counting_run_pipeline)
+    path = tmp_path / "t.trace"
+    code, _, _ = run_cli(
+        ["run", "--family", "gnp", "--n", "128", "--param", "0.05",
+         "--seeds", "3", "--seed-base", "11", "--trace", str(path)], capsys,
+    )
+    assert code == 0
+    assert alive_at_start == [1, 1, 1]
+    expected = []
+    for seed in (11, 12, 13):
+        trace = Trace()
+        inst = make_default_instance(generate("gnp", 128, seed, 0.05))
+        run_pipeline(inst, PipelineConfig(seed=seed), trace=trace)
+        expected.append(f"# run seed={seed}\n" + trace.render())
+    assert path.read_text() == "".join(expected)
 
 
 def test_scaling_output_shape(capsys):
@@ -191,6 +232,22 @@ def test_run_huge_ids_finish_phase3(tmp_path):
         assert out.returncode == 0, (bits, out.stderr)
         rows = [l for l in out.stdout.splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 4 and all(r.split(",")[9] == "1" for r in rows)
+
+
+def test_run_ids_past_the_digit_limit_with_trace(tmp_path, capsys):
+    path = tmp_path / "huge.dlc"
+    path.write_text(HUGE_ID_DLC)
+    trace = tmp_path / "huge.trace"
+    code, out, err = run_cli(
+        ["run", "--instance", str(path), "--seeds", "2", "--trace", str(trace)], capsys,
+    )
+    assert code == 0, err
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 2 and all(r.split(",")[9] == "1" for r in rows)
+    text = trace.read_text()
+    assert text.count("# run seed=") == 2
+    for digits in HUGE_ID_DIGITS:
+        assert f" v={digits} status=A act=" in text
 
 
 def test_fit_line_exact():

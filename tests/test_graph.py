@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_gnp_edges
+from helpers import HUGE_ID_DIGITS, HUGE_ID_DLC, reference_gnp_edges
 from sleepcolor.errors import InstanceError, ParseError
 from sleepcolor.graph import (
     _GNP_BATCH,
     _gnp_edges,
     build_graph,
+    format_decimal,
     generate,
     make_default_instance,
     make_instance,
+    parse_decimal,
     read_instance,
     write_instance,
 )
@@ -275,3 +277,32 @@ def test_read_allows_comments_and_checks_counts(tmp_path):
     bad.write_text("dlc 1 2 0\nnode 0 1\n")
     with pytest.raises(ParseError):
         read_instance(str(bad))
+
+
+def test_ids_past_the_digit_limit_read_and_write_back(tmp_path):
+    path = tmp_path / "huge.dlc"
+    path.write_text(HUGE_ID_DLC)
+    inst = read_instance(str(path))
+    a = 10**4400
+    assert inst.graph.nodes == (a, a + 1)
+    assert inst.lists == {a: (1, 2), a + 1: (3,)}
+    back = tmp_path / "back.dlc"
+    write_instance(inst, str(back))
+    assert back.read_bytes() == path.read_bytes()
+    bad = tmp_path / "bad.dlc"
+    bad.write_text(f"dlc 1 1 0\nnode {HUGE_ID_DIGITS[0]}x 1\n")
+    with pytest.raises(ParseError) as err:
+        read_instance(str(bad))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("digits", [512, 513, 1100, 4300])
+def test_decimal_conversion_by_halves_equals_str(digits):
+    # within the interpreter's limit, so str() and int() are the reference;
+    # powers of ten leave runs of zeros in the lower halves
+    top = 10**digits
+    for x in (top // 10, top - 1, top // 7, top // 10 + 1, 3 * top // 10 + 10**(digits // 2)):
+        text = str(x)
+        assert format_decimal(x) == text and format_decimal(-x) == "-" + text
+        assert parse_decimal(text) == x and parse_decimal("-" + text) == -x
+        assert parse_decimal("+" + text) == x

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import reference_render
 from sleepcolor.errors import ProgramError, RunIncomplete
 from sleepcolor.graph import build_graph
 from sleepcolor.simcore import Action, Trace, run_simulation
@@ -224,3 +227,38 @@ def test_no_causality_leak_from_undelivered_messages():
     run_simulation(g, Alternator(), None, seed=1, round_cap=40)
     # node 0 awake rounds: 1, 3, 5, 7, 9, 11 -> consumes 1,3,5,7,9 one call later
     assert consumed == [1, 3, 5, 7, 9]
+
+
+def test_render_text_is_pinned():
+    trace = Trace(round_offset=10)
+    trace.message(2, 1, 0, False)
+    trace.node(2, 1, "send")
+    trace.node(1, 0, "sleep:1")
+    trace.message(1, 0, 1, True)
+    trace.node(2, 0, "term")
+    assert trace.render() == (
+        "t=11 v=0 status=A act=sleep:1\n"
+        "msg t=11 0->1 delivered=1\n"
+        "t=12 v=1 status=A act=send\n"
+        "t=12 v=0 status=A act=term\n"
+        "msg t=12 1->0 delivered=0\n"
+    )
+    assert Trace().render() == "" and list(Trace().chunks()) == []
+
+
+_rounds = st.integers(0, 5)
+_ids = st.integers(0, 2**70)
+
+
+@given(
+    st.lists(st.tuples(_rounds, _ids, st.sampled_from(["send", "cont", "term", "sleep:4"]))),
+    st.lists(st.tuples(_rounds, _ids, _ids, st.booleans())),
+)
+def test_render_equals_the_grouping_reference(node_events, msg_events):
+    # rounds out of order, both kinds in one round, and the empty trace
+    trace = Trace()
+    trace.node_events.extend(node_events)
+    trace.msg_events.extend(msg_events)
+    text = trace.render()
+    assert text == reference_render(trace)
+    assert text == "".join(trace.chunks())
