@@ -109,6 +109,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 def test_run_streams_each_trace_before_the_next_run(tmp_path, capsys, monkeypatch):
     refs = []
+    alive_at_build = []
     alive_at_start = []
 
     class TrackedTrace(Trace):
@@ -116,11 +117,19 @@ def test_run_streams_each_trace_before_the_next_run(tmp_path, capsys, monkeypatc
             super().__init__(*args, **kwargs)
             refs.append(weakref.ref(self))
 
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def counting_generate(*args):
+        alive_at_build.append(alive())
+        return generate(*args)
+
     def counting_run_pipeline(instance, config, trace=None):
-        alive_at_start.append(sum(ref() is not None for ref in refs))
+        alive_at_start.append(alive())
         return run_pipeline(instance, config, trace=trace)
 
     monkeypatch.setattr(cli, "Trace", TrackedTrace)
+    monkeypatch.setattr(cli, "generate", counting_generate)
     monkeypatch.setattr(cli, "run_pipeline", counting_run_pipeline)
     path = tmp_path / "t.trace"
     code, _, _ = run_cli(
@@ -128,6 +137,7 @@ def test_run_streams_each_trace_before_the_next_run(tmp_path, capsys, monkeypatc
          "--seeds", "3", "--seed-base", "11", "--trace", str(path)], capsys,
     )
     assert code == 0
+    assert alive_at_build == [0, 0, 0]     # the last run's trace is gone
     assert alive_at_start == [1, 1, 1]
     expected = []
     for seed in (11, 12, 13):
