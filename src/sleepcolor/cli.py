@@ -29,7 +29,7 @@ from .errors import (
     TooLargeForOracle,
     UsageError,
 )
-from .graph import FAMILIES, generate, make_default_instance, read_instance
+from .graph import FAMILIES, format_decimal, generate, make_default_instance, read_instance
 from .metrics import aggregate, write_csv
 from .simcore import Trace
 
@@ -87,31 +87,33 @@ def _config_from_args(args, seed: int) -> PipelineConfig:
     )
 
 
-def _instance_for(args, family, n, param, seed: int):
-    """(family label, param, instance) for one run."""
-    if args.instance:
-        try:
-            inst = read_instance(args.instance)
-        except OSError as exc:
-            raise InstanceError(f"cannot read {args.instance}: {exc}") from None
-        return "file", None, inst
-    if not family or not n:
-        raise UsageError("need --family and --n (or --instance)")
-    graph = generate(family, n, seed, param)
-    return family, param, make_default_instance(graph)
+def _read(path: str):
+    """The instance in the `.dlc` file at `path`; a file that cannot be
+    opened is an `InstanceError`.  Every command reads its file here, once."""
+    try:
+        return read_instance(path)
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from None
 
 
 def _sweep(args, family, n, param, trace_out=None):
     """Run the seed sweep, returning (csv rows, metrics list, exit code).
 
-    With `trace_out`, each run's trace goes there as soon as the run ends,
-    under a `# run seed=S` line, and is dropped before the next run starts.
+    An `--instance` file is read once and run with every seed; otherwise
+    each seed generates its own graph.  With `trace_out`, each run's trace
+    goes there as soon as the run ends, under a `# run seed=S` line, and is
+    dropped before the next run starts.
     """
+    if args.instance:
+        family, param, inst = "file", None, _read(args.instance)
+    elif not family or not n:
+        raise UsageError("need --family and --n (or --instance)")
     rows = []
     metrics_list = []
     code = 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
-        label, run_param, inst = _instance_for(args, family, n, param, seed)
+        if not args.instance:
+            inst = make_default_instance(generate(family, n, seed, param))
         size = inst.graph.node_count
         config = _config_from_args(args, seed)
         resolved = config.resolve(size)
@@ -121,7 +123,7 @@ def _sweep(args, family, n, param, trace_out=None):
             trace_out.write(f"# run seed={seed}\n")
             trace_out.writelines(trace.chunks())
             del trace
-        rows.append(metrics.csv_row(seed, label, size, run_param,
+        rows.append(metrics.csv_row(seed, family, size, param,
                                     resolved.k1, resolved.phase2_degree_threshold))
         metrics_list.append(metrics)
         if metrics.validity != "proper_total":
@@ -213,10 +215,8 @@ def cmd_scaling(args) -> int:
 
 def cmd_oracle(args) -> int:
     quarter = Fraction(1, 4)
-    entries = []
     if args.instance:
-        inst = read_instance(args.instance)
-        entries.append((args.instance, inst))
+        entries = [(args.instance, _read(args.instance))]
     else:
         entries = oracle.tiny_catalog()
     ok = True
@@ -225,7 +225,7 @@ def cmd_oracle(args) -> int:
         for v in inst.graph.nodes:
             p = probs[v]
             mark = "" if p >= quarter else "  BELOW-1/4"
-            print(f"{name} node {v} p={p.numerator}/{p.denominator}{mark}")
+            print(f"{name} node {format_decimal(v)} p={p.numerator}/{p.denominator}{mark}")
             if p < quarter:
                 ok = False
     print(f"all-adoption-probabilities>=1/4: {'yes' if ok else 'NO'}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import _kernels
-from ..graph import ColoringInstance, make_instance
+from ..graph import ColoringInstance
 from ..simcore import Action, Trace, run_simulation
 
 PROPOSE = "propose"
@@ -153,7 +153,12 @@ def simulate_phase1(
 
 
 def _residual(instance: ColoringInstance, lists) -> ColoringInstance | None:
-    """The survivors' instance with their pruned lists, or None if none survive."""
+    """The survivors' instance with their pruned lists, or None if none survive.
+
+    Built without validation: each pruned list is a subsequence of the
+    node's valid list, and loses at most one color per adopted neighbor,
+    which leaves the residual graph with it, so deg+1 still holds.
+    """
     if not lists:
         return None
-    return make_instance(instance.graph.induced(lists), lists)
+    return ColoringInstance(instance.graph.induced(lists), lists)

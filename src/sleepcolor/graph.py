@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InstanceError, ParseError
 from .rng import Lanes, NodeRng, stream_state
@@ -91,8 +91,8 @@ class Graph:
         return Graph(nodes, neighbors, max_degree, _id_bit_size(nodes))
 
 
-def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
-    """Build a graph from explicit edges and node ids.
+def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
+    """Build a graph from explicit edges, consumed in one pass, and node ids.
 
     Rejects duplicate ids, self-loops, duplicate edges (after normalizing
     orientation) and edges touching unknown ids.  Isolated nodes are fine.
@@ -109,12 +109,13 @@ def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Gr
     adj: list[list[int]] = [[] for _ in nodes]
     for u, v in edges:
         if u == v:
-            raise InstanceError(f"self-loop at node {u}")
+            raise InstanceError(f"self-loop at node {format_decimal(u)}")
         try:
             i = position[u]
             j = position[v]
         except KeyError:
-            raise InstanceError(f"edge ({u},{v}) touches an unknown node id") from None
+            raise InstanceError(f"edge ({format_decimal(u)},{format_decimal(v)}) "
+                                f"touches an unknown node id") from None
         adj[i].append(j)
         adj[j].append(i)
 
@@ -123,7 +124,8 @@ def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Gr
         prev = -1
         for j in nbrs:
             if j == prev:                        # the first sighting has i < j
-                raise InstanceError(f"duplicate edge ({nodes[i]},{nodes[j]})")
+                raise InstanceError(f"duplicate edge ({format_decimal(nodes[i])},"
+                                    f"{format_decimal(nodes[j])})")
             prev = j
     neighbors = tuple(map(tuple, adj))
     return Graph(nodes, neighbors, max(map(len, neighbors)), _id_bit_size(nodes))
@@ -131,7 +133,14 @@ def build_graph(edges: Sequence[tuple[int, int]], node_ids: Sequence[int]) -> Gr
 
 @dataclass(frozen=True)
 class ColoringInstance:
-    """A (deg+1)-list-coloring problem: a graph plus one color list per node."""
+    """A (deg+1)-list-coloring problem: a graph plus one color list per node.
+
+    The constructor checks nothing.  Input from outside is validated where
+    it enters, by `make_instance` and `read_instance`: every list sorted,
+    of distinct positive colors, and longer than its node's degree.
+    `make_default_instance` and the residuals that phases 1 and 2 hand on
+    are built directly; they keep those properties by construction.
+    """
 
     graph: Graph
     lists: Mapping[int, tuple[int, ...]]         # id -> sorted color list
@@ -149,13 +158,14 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
             raise InstanceError(f"node {v} has no color list")
         lst = tuple(sorted(lists[v]))
         if len(set(lst)) != len(lst):
-            raise InstanceError(f"node {v}: duplicate color in list")
+            raise InstanceError(f"node {format_decimal(v)}: duplicate color in list")
         if any(c <= 0 for c in lst):
-            raise InstanceError(f"node {v}: colors must be positive (0 is reserved)")
+            raise InstanceError(
+                f"node {format_decimal(v)}: colors must be positive (0 is reserved)")
         if len(lst) < len(nbrs) + 1:
             raise InstanceError(
-                f"node {v}: list of size {len(lst)} but degree {len(nbrs)} "
-                f"(needs at least deg+1)"
+                f"node {format_decimal(v)}: list of size {len(lst)} but degree "
+                f"{len(nbrs)} (needs at least deg+1)"
             )
         norm[v] = lst
     extra = set(lists).difference(graph.nodes)
@@ -220,8 +230,11 @@ def generate(family: str, n: int, seed: int, param: float | None = None) -> Grap
     return build_graph(edges, ids)
 
 
-def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+def _gnp_edges(n: int, p: float, seed: int) -> Iterator[tuple[int, int]]:
     """G(n,p) by geometric gap-skipping over the C(n,2) pair indexes.
+
+    Yields the edges in ascending pair rank, so `build_graph` consumes them
+    as they are drawn and no edge list is held.
 
     The gaps come from one SplitMix64 stream (the generator's, see
     `_GEN_STREAM`), word after word, each turned into a uniform in [0, 1)
@@ -232,16 +245,16 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     if not 0.0 <= p <= 1.0:
         raise InstanceError("gnp probability must be in [0,1]")
     if p == 0.0 or n < 2:
-        return []
+        return
     if p == 1.0:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        yield from ((i, j) for i in range(n) for j in range(i + 1, n))
+        return
     log1p = math.log(1.0 - p)
     total = n * (n - 1) // 2
     expected = p * total + 1                       # draws: one per edge, one past the end
     lanes = Lanes(min(_GNP_BATCH, int(expected + 4 * math.sqrt(expected)) + 16))
     # lane L draws words L + 1, L + 1 + k, L + 1 + 2k, ... of the stream
     states = lanes.consecutive(stream_state(seed, _GEN_STREAM))
-    edges = []
     k = -1
     # decode increasing pair ranks (i, j) incrementally: O(n + m) overall
     i = 0
@@ -252,12 +265,12 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
             # gap ~ Geometric(p): number of skipped pairs before the next edge
             k += 1 + int(math.log(1.0 - w * 2.0 ** -53) / log1p)
             if k >= total:
-                return edges
+                return
             while k - row_start >= row_len:
                 row_start += row_len
                 i += 1
                 row_len -= 1
-            edges.append((i, i + 1 + (k - row_start)))
+            yield i, i + 1 + (k - row_start)
         states = lanes.advance(states, lanes.k)
 
 
@@ -392,8 +405,12 @@ def read_instance(path: str) -> ColoringInstance:
     header = None
     node_lines: list[tuple[int, tuple[int, ...]]] = []
     edge_lines: list[tuple[int, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, so it is caught on its own line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                byte = next(b for b in raw.encode("ascii", "surrogateescape") if b > 127)
+                raise ParseError(f"non-ASCII byte 0x{byte:02x}", lineno)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,3 +1,4 @@
+import io
 import os
 import resource
 import subprocess
@@ -7,7 +8,7 @@ import weakref
 import pytest
 
 import sleepcolor
-from helpers import HUGE_ID_DIGITS, HUGE_ID_DLC
+from helpers import HUGE_ID_DIGITS, HUGE_ID_DLC, random_residual_instance
 from sleepcolor import cli
 from sleepcolor.cli import fit_line, main
 from sleepcolor.coloring import PipelineConfig, phase3, run_pipeline
@@ -16,8 +17,10 @@ from sleepcolor.graph import (
     generate,
     make_default_instance,
     make_instance,
+    read_instance,
     write_instance,
 )
+from sleepcolor.metrics import write_csv
 from sleepcolor.simcore import Trace
 
 
@@ -48,6 +51,77 @@ def test_run_inadmissible_instance_exits_one(tmp_path, capsys):
     code, _, err = run_cli(["run", "--instance", str(bad)], capsys)
     assert code == 1
     assert err.startswith("error: instance:")
+
+
+def test_run_reads_the_instance_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "irr.dlc"
+    write_instance(random_residual_instance(5), str(path))
+    reads = []
+
+    def counting_read(p):
+        reads.append(p)
+        return read_instance(p)
+
+    monkeypatch.setattr(cli, "read_instance", counting_read)
+    code, out, _ = run_cli(["run", "--instance", str(path), "--seeds", "3",
+                            "--seed-base", "4"], capsys)
+    assert code == 0
+    assert reads == [str(path)]
+    inst = read_instance(str(path))
+    rows = []
+    for seed in (4, 5, 6):
+        config = PipelineConfig(seed=seed)
+        resolved = config.resolve(inst.graph.node_count)
+        _, metrics = run_pipeline(inst, config)
+        rows.append(metrics.csv_row(seed, "file", inst.graph.node_count, None,
+                                    resolved.k1, resolved.phase2_degree_threshold))
+    expected = io.StringIO()
+    write_csv(expected, rows)
+    assert [l for l in out.splitlines() if not l.startswith("#")] == \
+        expected.getvalue().splitlines()
+
+
+def test_oracle_unreadable_instance_exits_one(tmp_path, capsys):
+    code, _, err = run_cli(["oracle", "--instance", str(tmp_path / "missing.dlc")],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error: instance: cannot read")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_non_ascii_byte_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin.dlc"
+    path.write_bytes(b"dlc 1 1 0\nnode 1 \xff\n")
+    code, _, err = run_cli([command, "--instance", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: parse: line 2: non-ASCII byte 0xff")
+
+
+# (instance text, the ids its error message must print in full) for each fault
+# a .dlc can carry on ids past the interpreter's digit limit
+_A, _B = HUGE_ID_DIGITS
+_HUGE_ID_FAULTS = {
+    "self-loop": (f"dlc 1 1 1\nnode {_A} 1 2\nedge {_A} {_A}\n", [_A]),
+    "unknown-id": (f"dlc 1 1 1\nnode {_A} 1 2\nedge {_A} {_B}\n", [_A, _B]),
+    "duplicate-edge": (f"dlc 1 2 2\nnode {_A} 1 2\nnode {_B} 1 2\n"
+                       f"edge {_A} {_B}\nedge {_B} {_A}\n", [_A, _B]),
+    "duplicate-color": (f"dlc 1 1 0\nnode {_A} 1 1\n", [_A]),
+    "non-positive": (f"dlc 1 1 0\nnode {_A} 0\n", [_A]),
+    "short-list": (f"dlc 1 2 1\nnode {_A} 1\nnode {_B} 1 2\nedge {_A} {_B}\n", [_A]),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("fault", sorted(_HUGE_ID_FAULTS))
+def test_instance_errors_print_ids_past_the_digit_limit(tmp_path, capsys, command,
+                                                          fault):
+    text, ids = _HUGE_ID_FAULTS[fault]
+    path = tmp_path / "huge.dlc"
+    path.write_text(text)
+    code, _, err = run_cli([command, "--instance", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: instance:")
+    assert all(digits in err for digits in ids)
 
 
 def test_run_missing_family_usage_error(capsys):
@@ -184,6 +258,15 @@ def test_oracle_instance_prints_exact_fraction(tmp_path, capsys):
     code, out, _ = run_cli(["oracle", "--instance", str(path)], capsys)
     assert code == 0
     assert "node 0 p=3/8" in out and "node 1 p=3/8" in out
+
+
+def test_oracle_prints_ids_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.dlc"
+    path.write_text(HUGE_ID_DLC)
+    code, out, _ = run_cli(["oracle", "--instance", str(path)], capsys)
+    assert code == 0
+    for digits in HUGE_ID_DIGITS:
+        assert f"huge.dlc node {digits} p=1/2\n" in out
 
 
 def test_oracle_isolated_prints_one_half(tmp_path, capsys):

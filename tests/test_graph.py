@@ -136,11 +136,18 @@ def test_gnp_edges_equal_the_scalar_reference(n):
         if p * n * (n - 1) / 2 > 50_000:          # keep every case cheap
             continue
         for seed in (0, 1, 2**64 - 1):
-            edges = _gnp_edges(n, p, seed)
+            edges = list(_gnp_edges(n, p, seed))
             assert edges == reference_gnp_edges(n, p, seed), (n, p, seed)
             # one draw per edge and one past the last pair
             spans_three_batches |= len(edges) + 1 > 2 * _GNP_BATCH
     assert spans_three_batches == (n == 3000)
+
+
+def test_gnp_probability_outside_the_unit_interval_rejected():
+    # the edges stream into build_graph, which raises on the first draw
+    for p in (1.5, -0.1):
+        with pytest.raises(InstanceError, match="probability must be in"):
+            generate("gnp", 16, 0, p)
 
 
 def test_regular_generator():
@@ -294,6 +301,16 @@ def test_ids_past_the_digit_limit_read_and_write_back(tmp_path):
     with pytest.raises(ParseError) as err:
         read_instance(str(bad))
     assert err.value.line == 2
+
+
+def test_read_non_ascii_byte_reports_its_own_line(tmp_path):
+    # the byte sits past the decoder's first chunk, on line 3002
+    path = tmp_path / "latin.dlc"
+    path.write_bytes(b"dlc 1 1 0\n" + b"# padding padding padding\n" * 3000
+                     + b"node 1 \xff\n")
+    with pytest.raises(ParseError, match="non-ASCII byte 0xff") as err:
+        read_instance(str(path))
+    assert err.value.line == 3002
 
 
 @pytest.mark.parametrize("digits", [512, 513, 1100, 4300])

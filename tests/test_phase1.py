@@ -170,10 +170,17 @@ def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
 
 
 def test_kernel_and_engine_prune_every_occurrence_of_a_repeated_color():
-    # ColoringInstance(...) skips make_instance's duplicate-color check; a
-    # residual list that still repeats a color is rejected alike by both runs
+    # ColoringInstance(...) skips make_instance's duplicate-color check; both
+    # runs prune every occurrence of an adopted color, and hand on a residual
+    # list that still repeats a color as it is, since residuals are not
+    # validated again
     inst = ColoringInstance(build_graph([(0, 1)], [0, 1]), {0: (1,), 1: (1, 1, 2)})
     outcomes = set()
+    residual_lists = []
     for seed in range(40):
-        outcomes.add(type(assert_same_phase1(inst, 3, seed)).__name__)
+        out = assert_same_phase1(inst, 3, seed)
+        outcomes.add(type(out).__name__)
+        if getattr(out, "residual", None) is not None:
+            residual_lists.append(out.residual.lists)
     assert "PhaseOutcome" in outcomes
+    assert inst.lists in residual_lists          # nobody adopted: handed on as it is

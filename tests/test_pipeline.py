@@ -218,9 +218,22 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     p1 = assert_same_phase1(inst, resolved.k1, seed)
     residual = p1.residual
     if residual is not None:
+        _assert_valid_residual(residual, inst)
         p2, _ = assert_same_phase2(residual, resolved.phase2_degree_threshold,
                                    resolved.phase2_iteration_cap, seed)
+        if p2.residual is not None:
+            _assert_valid_residual(p2.residual, inst)
         if cfg.phase2_scheduled(inst.graph.node_count):
             residual = p2.residual
     if residual is not None:
         assert_same_phase3(residual)
+
+
+def _assert_valid_residual(residual, inst):
+    """What `make_instance` would check of a residual, which phases 1 and 2
+    build without it: sorted lists of distinct positive colors, each longer
+    than its node's degree and a subsequence of the node's original list."""
+    assert residual == make_instance(residual.graph, residual.lists)
+    for v, lst in residual.lists.items():
+        original = iter(inst.lists[v])
+        assert all(c in original for c in lst), v
