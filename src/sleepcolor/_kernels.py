@@ -21,7 +21,7 @@ from array import array
 from itertools import compress
 
 from .errors import AlgorithmInvariantViolation
-from .graph import ColoringInstance
+from .graph import ColoringInstance, format_decimal
 from .rng import Lanes, pack
 
 # Lanes per packed int (about 32 KB): large enough that the per-operation
@@ -49,7 +49,7 @@ def out_of_colors(v: int, where: str = "(inadmissible instance?)"
                   ) -> AlgorithmInvariantViolation:
     """The error a proposer with an empty list raises: phase 1 on every path,
     phase 2 (`where` = "in degree reduction") on both of its paths."""
-    return AlgorithmInvariantViolation(f"node {v} ran out of colors {where}")
+    return AlgorithmInvariantViolation(f"node {format_decimal(v)} ran out of colors {where}")
 
 
 def _draws(lanes: Lanes, states: int, counter: int) -> tuple[bytes, array]:
@@ -128,15 +128,18 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
 
     roles[i] is CORE, RING1 or RING2 for the region's positions and None
     elsewhere; every neighbor of a core or ring1 node is in the region.
-    Returns (colors, awake_rounds, termination_round, rounds_executed,
-    lists) over the region's ids, colors in the engine's order (termination
-    round, then id).  `lists` holds the survivors' lists minus their adopted
-    neighbors' colors.  An adoption prunes the lists of the neighbors awake
-    in its resolve round; an awake node that neither proposed nor heard a
-    proposal sleeps out the window (2*iterations rounds); a proposer with an
-    empty list raises `out_of_colors(v, where)`.  A `Trace` gets the
-    engine's events: node events in id order per round, message events in
-    (sender, receiver) order, delivered iff the receiver was awake.
+    Returns (color, stop, rounds_executed, lists) over node positions:
+    color[i] is the color node i adopted (0 for none), stop[i] the last
+    round it was awake in (the round it terminated or fell asleep, else the
+    last round run; 0 outside the region), which is also its number of
+    awake rounds, and lists[i] its list minus its adopted neighbors' colors
+    (the instance's own tuple if nothing was pruned).  An adoption prunes
+    the lists of the neighbors awake in its resolve round; an awake node
+    that neither proposed nor heard a proposal sleeps out the window
+    (2*iterations rounds); a proposer with an empty list raises
+    `out_of_colors(v, where)`.  A `Trace` gets the engine's events: node
+    events in id order per round, message events in (sender, receiver)
+    order, delivered iff the receiver was awake.
 
     Ring1 nodes always propose, ring2 nodes never, and a core node while its
     degree (its neighbors minus the adoptions it heard) is at least
@@ -160,8 +163,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     heard = None             # last resolve round a node proposed or heard a proposal
     stop = [0] * n           # the round it terminated or fell asleep
     proposal = [0] * n
-    colors: dict[int, int] = {}
-    termination = {}         # the adopters' termination rounds, as they adopt
+    color = [0] * n
     emptied = not all(lists)
     rnd = 0
     while listening and rnd < last:
@@ -188,8 +190,8 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
                              dict.fromkeys(dropped, act), neighbors, awake)
         for a in adopters:
             awake[a] = False
-            stop[a] = termination[ids[a]] = rnd
-            colors[ids[a]] = proposal[a]
+            stop[a] = rnd
+            color[a] = proposal[a]
         for a in adopters:
             c = proposal[a]
             proposal[a] = 0
@@ -207,9 +209,9 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
         if adopters or dropped:   # the listeners are the proposers if as many
             kept = len(listening) - len(adopters) - len(dropped)
             listening = live if len(live) == kept else [i for i in listening if awake[i]]
-    awake_rounds = {ids[i]: stop[i] or rnd for i in region}
-    survivors = {ids[i]: tuple(lists[i]) for i in region if ids[i] not in colors}
-    return colors, awake_rounds, termination, rnd, survivors
+    for i in listening:      # awake to the end
+        stop[i] = rnd
+    return color, stop, rnd, lists
 
 
 def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, neighbors,

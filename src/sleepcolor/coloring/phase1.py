@@ -20,6 +20,7 @@ reference the kernel must match bit for bit, trace included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .. import _kernels
 from ..graph import ColoringInstance
@@ -85,14 +86,36 @@ def survivor_lists(result) -> dict[int, tuple[int, ...]]:
 
 @dataclass
 class PhaseOutcome:
-    """What one pipeline phase produced, in phase-local round numbering."""
+    """What one pipeline phase produced, in phase-local round numbering.
 
-    colors: dict[int, int]                     # newly colored nodes
+    The figures are lists over the node positions of the instance the phase
+    ran on: position i is node nodes[i].  The id-keyed views `colors`,
+    `awake_rounds` and `termination_round` are derived from them on first
+    read.
+    """
+
+    nodes: tuple[int, ...]                     # the instance's ids, sorted
+    color: list[int]                           # adopted color, 0 for none
+    awake: list[int]                           # awake rounds
+    term: list[int]                            # termination round, 0 for none
     residual: ColoringInstance | None          # uncolored nodes, pruned lists
-    awake_rounds: dict[int, int]
-    termination_round: dict[int, int]          # colored nodes only (local)
     rounds_executed: int
     extra: dict = field(default_factory=dict)
+
+    @cached_property
+    def colors(self) -> dict[int, int]:
+        """id -> color, for the nodes colored in this phase."""
+        return {v: c for v, c in zip(self.nodes, self.color) if c}
+
+    @cached_property
+    def awake_rounds(self) -> dict[int, int]:
+        """id -> awake rounds, for the nodes awake in this phase."""
+        return {v: a for v, a in zip(self.nodes, self.awake) if a}
+
+    @cached_property
+    def termination_round(self) -> dict[int, int]:
+        """id -> termination round, for the nodes colored in this phase."""
+        return {v: t for v, t in zip(self.nodes, self.term) if t}
 
 
 def run_phase1(
@@ -107,17 +130,8 @@ def run_phase1(
     1, which gives the same outcome and trace as `simulate_phase1`, the
     round engine's run.
     """
-    colors, awake, term, rounds, lists = _kernels.run_iterations(
-        instance, [_kernels.RING1] * instance.graph.node_count, 0, iterations, seed,
-        trace=trace,
-    )
-    return PhaseOutcome(
-        colors=colors,
-        residual=_residual(instance, lists),
-        awake_rounds=awake,
-        termination_round=term,
-        rounds_executed=rounds,
-    )
+    return _kernel_run(instance, [_kernels.RING1] * instance.graph.node_count, 0,
+                       iterations, seed, trace)
 
 
 def simulate_phase1(
@@ -141,24 +155,44 @@ def simulate_phase1(
         trace=trace,
         on_incomplete="return",
     )
-    return PhaseOutcome(
-        colors=dict(result.outputs),
-        residual=_residual(instance, survivor_lists(result)),
-        awake_rounds=result.awake_rounds,
-        termination_round={
-            v: r for v, r in result.termination_round.items() if r is not None
-        },
-        rounds_executed=result.rounds_executed,
-    )
+    return _engine_run(instance, result)
 
 
-def _residual(instance: ColoringInstance, lists) -> ColoringInstance | None:
-    """The survivors' instance with their pruned lists, or None if none survive.
+def _kernel_run(instance: ColoringInstance, roles, threshold: int, iterations: int,
+                seed: int, trace: Trace | None,
+                where: str = "(inadmissible instance?)") -> PhaseOutcome:
+    """`_kernels.run_iterations` on the instance, as its outcome: a node is
+    awake from round 1 to the round it stops in, and an adopter stops in
+    the round it terminates."""
+    color, stop, rounds, lists = _kernels.run_iterations(
+        instance, roles, threshold, iterations, seed, trace=trace, where=where)
+    return PhaseOutcome(instance.graph.nodes, color, stop,
+                        [s if c else 0 for c, s in zip(color, stop)],
+                        _residual(instance, color, lists), rounds)
+
+
+def _engine_run(instance: ColoringInstance, result) -> PhaseOutcome:
+    """An engine run on the instance, or on a subgraph of it, as its outcome:
+    a node the engine did not run reads 0 and keeps its list."""
+    out, awake, term = result.outputs, result.awake_rounds, result.termination_round
+    survivors = survivor_lists(result)
+    nodes = instance.graph.nodes
+    color = [out.get(v, 0) for v in nodes]
+    lists = [survivors.get(v, instance.lists[v]) for v in nodes]
+    return PhaseOutcome(nodes, color, [awake.get(v, 0) for v in nodes],
+                        [term.get(v) or 0 for v in nodes],
+                        _residual(instance, color, lists), result.rounds_executed)
+
+
+def _residual(instance: ColoringInstance, color, lists) -> ColoringInstance | None:
+    """The uncolored nodes' instance, node position i with list lists[i], or
+    None if every node is colored.
 
     Built without validation: each pruned list is a subsequence of the
     node's valid list, and loses at most one color per adopted neighbor,
     which leaves the residual graph with it, so deg+1 still holds.
     """
-    if not lists:
+    kept = {v: tuple(lst) for v, c, lst in zip(instance.graph.nodes, color, lists) if not c}
+    if not kept:
         return None
-    return ColoringInstance(instance.graph.induced(lists), lists)
+    return ColoringInstance(instance.graph.induced(kept), kept)

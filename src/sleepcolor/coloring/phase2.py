@@ -35,7 +35,7 @@ from .. import _kernels
 from .._kernels import CORE, RING1, RING2
 from ..graph import ColoringInstance
 from ..simcore import Action, Trace, run_simulation
-from .phase1 import ADOPT, PROPOSE, PhaseOutcome, _residual, survivor_lists
+from .phase1 import ADOPT, PROPOSE, PhaseOutcome, _engine_run, _kernel_run
 
 
 @dataclass
@@ -110,9 +110,8 @@ def run_phase2(
     """
     return _degree_reduction(
         residual, threshold, iteration_cap,
-        lambda roles: _kernels.run_iterations(residual, roles, threshold, iteration_cap,
-                                              seed, trace=trace,
-                                              where="in degree reduction"),
+        lambda roles: _kernel_run(residual, roles, threshold, iteration_cap, seed, trace,
+                                  "in degree reduction"),
     )
 
 
@@ -143,9 +142,7 @@ def simulate_phase2(
             trace=trace,
             on_incomplete="return",
         )
-        term = {v: r for v, r in result.termination_round.items() if r is not None}
-        return (dict(result.outputs), result.awake_rounds, term,
-                result.rounds_executed, survivor_lists(result))
+        return _engine_run(residual, result)
 
     return _degree_reduction(residual, threshold, iteration_cap, engine)
 
@@ -155,21 +152,15 @@ def _degree_reduction(residual: ColoringInstance, threshold: int, iteration_cap:
     """Mark the region on node positions, `run` it, and build the residual.
 
     `run(roles)` gets each position's role (None outside the region) and
-    returns (colors, awake_rounds, termination_round, rounds_executed,
-    survivors' lists), keyed by id over the region.
+    returns the run's `PhaseOutcome` over the residual's node positions.
     """
     nbrs = residual.graph.neighbors
     roles = [CORE if len(ns) >= threshold else None for ns in nbrs]
     core = [i for i, r in enumerate(roles) if r]
     if not core or iteration_cap < 1:
-        return PhaseOutcome(
-            colors={},
-            residual=residual,
-            awake_rounds={},
-            termination_round={},
-            rounds_executed=0,
-            extra={"iterations": 0, "incomplete": bool(core)},
-        )
+        n = len(nbrs)
+        return PhaseOutcome(residual.graph.nodes, [0] * n, [0] * n, [0] * n, residual, 0,
+                            {"iterations": 0, "incomplete": bool(core)})
     ring1 = []
     for i in core:
         for j in nbrs[i]:
@@ -180,16 +171,8 @@ def _degree_reduction(residual: ColoringInstance, threshold: int, iteration_cap:
         for j in nbrs[i]:
             if roles[j] is None:
                 roles[j] = RING2
-    colors, awake, term, rounds, survivors = run(roles)
-    lists = residual.lists
-    residual_out = _residual(residual, {v: survivors.get(v, lists[v])
-                                        for v in residual.graph.nodes if v not in colors})
-    incomplete = residual_out is not None and residual_out.graph.max_degree >= threshold
-    return PhaseOutcome(
-        colors=colors,
-        residual=residual_out,
-        awake_rounds=awake,
-        termination_round=term,
-        rounds_executed=rounds,
-        extra={"iterations": (rounds + 1) // 2, "incomplete": incomplete},
-    )
+    outcome = run(roles)
+    left = outcome.residual
+    outcome.extra = {"iterations": (outcome.rounds_executed + 1) // 2,
+                     "incomplete": left is not None and left.graph.max_degree >= threshold}
+    return outcome

@@ -41,9 +41,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..errors import AlgorithmInvariantViolation, RunIncomplete
-from ..graph import ColoringInstance
+from ..graph import ColoringInstance, format_decimal
 from ..simcore import Action, Trace, run_simulation
-from .phase1 import PhaseOutcome
+from .phase1 import PhaseOutcome, _engine_run
 
 COLOR_XCHG = "col"
 FINAL_INTERIM = "fin"
@@ -170,7 +170,7 @@ def _reduce_color(color: int, others, q: int, d: int, values: dict, node_id: int
         else:
             return a * q + mine
     raise AlgorithmInvariantViolation(
-        f"node {node_id}: no distinguishing evaluation point (q={q}, d={d})"
+        f"node {format_decimal(node_id)}: no distinguishing evaluation point (q={q}, d={d})"
     )
 
 
@@ -336,12 +336,12 @@ class Phase3Program:
         if kind == LEAF:
             if st.interim in st.neighbor_interim:
                 raise AlgorithmInvariantViolation(
-                    f"node {ctx.node_id}: interim coloring not proper"
+                    f"node {format_decimal(ctx.node_id)}: interim coloring not proper"
                 )
             free = [c for c in st.remaining if c not in st.heard]
             if not free:
                 raise AlgorithmInvariantViolation(
-                    f"node {ctx.node_id}: no free list color at its leaf round"
+                    f"node {format_decimal(ctx.node_id)}: no free list color at its leaf round"
                 )
             st.adopted = free[0]
             if last:
@@ -377,11 +377,11 @@ def run_phase3(
 ) -> PhaseOutcome:
     """Run phase 3 on the residual's node positions, capped at its own schedule.
 
-    Gives the outcome, the colors' order and the trace events of
-    `simulate_phase3`, the round engine's run of `Phase3Program`.  With P
-    interim rounds and C classes, every node terminates by the last
-    tournament slot, round P + 2C - 1; a node still running then raises
-    RunIncomplete once every event up to that round is traced.
+    Gives the outcome and the trace events of `simulate_phase3`, the round
+    engine's run of `Phase3Program`.  With P interim rounds and C classes,
+    every node terminates by the last tournament slot, round P + 2C - 1; a
+    node still running then raises RunIncomplete once every event up to
+    that round is traced.
     """
     steps, classes = interim_palette(residual)
     prelim = len(steps) + 1
@@ -426,8 +426,8 @@ def run_phase3(
     nxt = [0] * n                  # index of each node's next duty
     awake_in = [-1] * n            # the last slot each node was awake in
     adopted = [0] * n
+    color = [0] * n
     heard: dict[int, set[int]] = {}
-    colors: dict[int, int] = {}
     rounds = prelim
     for s in sorted(at_slot):
         rnd = prelim + 1 + s
@@ -441,12 +441,12 @@ def run_phase3(
                 c = cls[i]
                 if any(cls[j] == c for j in nbrs[i]):
                     raise AlgorithmInvariantViolation(
-                        f"node {ids[i]}: interim coloring not proper")
+                        f"node {format_decimal(ids[i])}: interim coloring not proper")
                 taken = heard.get(i, ())
                 free = next((x for x in lists[ids[i]] if x not in taken), None)
                 if free is None:
                     raise AlgorithmInvariantViolation(
-                        f"node {ids[i]}: no free list color at its leaf round")
+                        f"node {format_decimal(ids[i])}: no free list color at its leaf round")
                 adopted[i] = free
         t = rnd + offset
         for i in awake:
@@ -465,7 +465,7 @@ def run_phase3(
                         msg_ev.append((t, v, ids[j], ok))
             if k + 1 == len(ds):
                 term[i] = rnd
-                colors[v] = adopted[i]
+                color[i] = adopted[i]
                 act = "term"
             else:
                 gap = ds[k + 1][0] - s - 1
@@ -476,17 +476,14 @@ def run_phase3(
         rounds = rnd
 
     outcome = PhaseOutcome(
-        colors=colors,
-        residual=None,
-        awake_rounds=dict(zip(ids, awake_rounds)),
-        termination_round={v: r for v, r in zip(ids, term) if r},
-        rounds_executed=rounds,
-        extra={"classes": classes, "reduction_steps": len(steps), "interim_rounds": prelim},
+        ids, color, awake_rounds, term, None, rounds,
+        {"classes": classes, "reduction_steps": len(steps), "interim_rounds": prelim},
     )
-    if len(colors) < n:
+    left = term.count(0)
+    if left:
         outcome.termination_round = {v: r or None for v, r in zip(ids, term)}
         raise RunIncomplete(
-            f"round cap {cap} reached with {n - len(colors)} non-terminated nodes",
+            f"round cap {cap} reached with {left} non-terminated nodes",
             partial=outcome,
         )
     return outcome
@@ -543,16 +540,7 @@ def simulate_phase3(
         round_cap=program.prelim_round + tournament_slot_count(classes),
         trace=trace,
     )
-    return PhaseOutcome(
-        colors=dict(result.outputs),
-        residual=None,
-        awake_rounds=result.awake_rounds,
-        termination_round={v: r for v, r in result.termination_round.items()
-                           if r is not None},
-        rounds_executed=result.rounds_executed,
-        extra={
-            "classes": classes,
-            "reduction_steps": len(steps),
-            "interim_rounds": program.prelim_round,
-        },
-    )
+    outcome = _engine_run(residual, result)
+    outcome.extra = {"classes": classes, "reduction_steps": len(steps),
+                     "interim_rounds": program.prelim_round}
+    return outcome

@@ -124,35 +124,37 @@ def run_pipeline(
     Raises RunIncomplete if phase 3 overruns its own schedule, which an
     admissible instance never causes.
     """
-    graph = instance.graph
-    n = graph.node_count
+    nodes = instance.graph.nodes
+    n = len(nodes)
     cfg = config.resolve(n)
     s2, s3 = config.phase_boundaries(n)
-
-    awake: dict[int, int] = {v: 0 for v in graph.nodes}
-    termination: dict[int, int] = {}
-    phase_of: dict[int, int] = {}
-    phase_awake = {1: 0, 2: 0, 3: 0}
-    phase_rounds = {1: 0, 2: 0, 3: 0}
-    assignment: dict[int, int] = {}
-
-    def fold(outcome, phase: int, offset: int) -> None:
-        for v, a in outcome.awake_rounds.items():
-            awake[v] += a
-            phase_awake[phase] += a
-        for v, c in outcome.colors.items():
-            assignment[v] = c
-            termination[v] = offset + outcome.termination_round[v]
-            phase_of[v] = phase
-        phase_rounds[phase] = outcome.rounds_executed
 
     if trace is not None:
         trace.round_offset = 0
     p1 = run_phase1(instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT), trace=trace)
-    fold(p1, 1, 0)
-    residual = p1.residual
-    decay = _decay_histogram(p1)
+    # phase 1's awake and termination lists are the run's own from here on,
+    # and the later phases add to them in place; its color list stays as
+    # phase 1 left it, so that `p1.colors` keeps naming phase 1's nodes
+    awake, term = p1.awake, p1.term
+    phase_awake = {1: sum(awake), 2: 0, 3: 0}
+    phase_rounds = {1: p1.rounds_executed, 2: 0, 3: 0}
+    decay = _decay_histogram(term, p1.rounds_executed)
+    later: dict[int, tuple[int, int]] = {}    # run position -> (color, phase) after phase 1
+    where = [i for i, c in enumerate(p1.color) if not c]   # run position of each residual node
 
+    def fold(outcome, phase: int, offset: int) -> list[int]:
+        """Fold a phase run on the residual at run positions `where` into the
+        run; returns the run positions of its own residual."""
+        for i, c, a, t in zip(where, outcome.color, outcome.awake, outcome.term):
+            awake[i] += a
+            if c:
+                term[i] = offset + t
+                later[i] = (c, phase)
+        phase_awake[phase] = sum(outcome.awake)
+        phase_rounds[phase] = outcome.rounds_executed
+        return [i for i, c in zip(where, outcome.color) if not c]
+
+    residual = p1.residual
     phase2_incomplete = False
     if residual is not None and config.phase2_scheduled(n):
         if trace is not None:
@@ -164,7 +166,7 @@ def run_pipeline(
             derive_seed(cfg.seed, _PHASE2_SALT),
             trace=trace,
         )
-        fold(p2, 2, s2)
+        where = fold(p2, 2, s2)
         residual = p2.residual
         phase2_incomplete = bool(p2.extra.get("incomplete"))
 
@@ -176,19 +178,21 @@ def run_pipeline(
         fold(p3, 3, s3)
         phase3_classes = p3.extra["classes"]
 
-    coloring = Coloring(dict(assignment))
-    total_rounds = max(termination.values(), default=0)
+    # every node is colored now: phase 3 colors its whole residual or raises
+    coloring = Coloring(dict(zip(nodes, p1.color)))
+    per_node = {v: (a, t, 1) for v, a, t in zip(nodes, awake, term)}
+    for i, (c, phase) in later.items():
+        v = nodes[i]
+        coloring.assignment[v] = c
+        per_node[v] = (awake[i], term[i], phase)
 
-    verdict = validity_verdict(instance, coloring.assignment)
     metrics = RunMetrics(
-        per_node={
-            v: (awake[v], termination[v], phase_of[v]) for v in graph.nodes
-        },
-        worst_case_awake=max(awake.values()),
-        average_awake=Fraction(sum(awake.values()), n),
-        total_rounds=total_rounds,
+        per_node=per_node,
+        worst_case_awake=max(awake),
+        average_awake=Fraction(sum(awake), n),
+        total_rounds=max(term),
         decay_histogram=decay,
-        validity=verdict,
+        validity=validity_verdict(instance, coloring.assignment),
         phase2_incomplete=phase2_incomplete,
         phase_awake=phase_awake,
         phase_rounds=phase_rounds,
@@ -197,10 +201,12 @@ def run_pipeline(
     return coloring, metrics
 
 
-def _decay_histogram(p1_outcome) -> dict[int, int]:
-    """Iteration -> number of nodes that adopted in it, for every phase-1
-    iteration that ran (phase 1 stops once every node has adopted)."""
-    hist = {i: 0 for i in range(1, p1_outcome.rounds_executed // 2 + 1)}
-    for v, rnd in p1_outcome.termination_round.items():
-        hist[(rnd + 1) // 2] += 1
+def _decay_histogram(term, rounds: int) -> dict[int, int]:
+    """Iteration -> number of nodes that adopted in it, from phase 1's
+    termination rounds (0 for none), for every phase-1 iteration that ran
+    (phase 1 stops once every node has adopted)."""
+    hist = {i: 0 for i in range(1, rounds // 2 + 1)}
+    for t in term:
+        if t:
+            hist[(t + 1) // 2] += 1
     return hist

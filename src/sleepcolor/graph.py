@@ -80,7 +80,7 @@ class Graph:
         old = [i for i, v in enumerate(self.nodes) if v in keep_set]
         if len(old) != len(keep_set):
             unknown = keep_set.difference(self.nodes)
-            raise InstanceError(f"unknown node ids in induced subgraph: {sorted(unknown)}")
+            raise InstanceError(f"unknown node ids in induced subgraph: {_id_list(unknown)}")
         new = [-1] * len(self.nodes)             # old position -> new position
         for k, i in enumerate(old):
             new[i] = k
@@ -140,6 +140,10 @@ class ColoringInstance:
     of distinct positive colors, and longer than its node's degree.
     `make_default_instance` and the residuals that phases 1 and 2 hand on
     are built directly; they keep those properties by construction.
+
+    Lists are read, never changed, so nodes may share one tuple:
+    `make_default_instance` gives all nodes of one degree the same tuple,
+    and the phase-1 and phase-2 kernel copies a list before its first prune.
     """
 
     graph: Graph
@@ -155,7 +159,7 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
     norm: dict[int, tuple[int, ...]] = {}
     for v, nbrs in zip(graph.nodes, graph.neighbors):
         if v not in lists:
-            raise InstanceError(f"node {v} has no color list")
+            raise InstanceError(f"node {format_decimal(v)} has no color list")
         lst = tuple(sorted(lists[v]))
         if len(set(lst)) != len(lst):
             raise InstanceError(f"node {format_decimal(v)}: duplicate color in list")
@@ -170,16 +174,16 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
         norm[v] = lst
     extra = set(lists).difference(graph.nodes)
     if extra:
-        raise InstanceError(f"lists given for unknown nodes: {sorted(extra)}")
+        raise InstanceError(f"lists given for unknown nodes: {_id_list(extra)}")
     return ColoringInstance(graph, norm)
 
 
 def make_default_instance(graph: Graph) -> ColoringInstance:
-    """The (deg+1)-coloring special case: node v gets the list {1, ..., deg(v)+1}."""
+    """The (deg+1)-coloring special case: node v gets the list {1, ..., deg(v)+1},
+    one tuple per distinct degree, shared by the nodes of that degree."""
+    shared = {d: tuple(range(1, d + 2)) for d in set(map(len, graph.neighbors))}
     return ColoringInstance(
-        graph,
-        {v: tuple(range(1, len(nbrs) + 2)) for v, nbrs in zip(graph.nodes, graph.neighbors)},
-    )
+        graph, {v: shared[len(nbrs)] for v, nbrs in zip(graph.nodes, graph.neighbors)})
 
 
 @dataclass
@@ -361,6 +365,11 @@ def _parse_digits(digits: str) -> int:
         return int(digits)
     k = len(digits) // 2
     return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
+
+
+def _id_list(ids) -> str:
+    """The ids sorted, as `str(sorted(ids))` prints them, at any size."""
+    return f"[{', '.join(map(format_decimal, sorted(ids)))}]"
 
 
 def format_decimal(x: int) -> str:

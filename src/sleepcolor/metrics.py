@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError, UsageError
-from .graph import UNCOLORED, ColoringInstance
+from .graph import UNCOLORED, ColoringInstance, format_decimal
 
 PROPER_TOTAL = "proper_total"
 PROPER_PARTIAL = "proper_partial"
@@ -105,16 +105,16 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
     for rnd, v, act in trace.node_events:
         if v not in awake:
-            raise InternalError(f"trace mentions unknown node {v}")
+            raise InternalError(f"trace mentions unknown node {format_decimal(v)}")
         awake[v] += 1
         if act == "term":
             if term[v] is not None:
-                raise InternalError(f"node {v} terminated twice in trace")
+                raise InternalError(f"node {format_decimal(v)} terminated twice in trace")
             term[v] = rnd
 
     for v, r in term.items():
         if r is None:
-            raise InternalError(f"node {v} never terminated in trace")
+            raise InternalError(f"node {format_decimal(v)} never terminated in trace")
     assignment = coloring.assignment if hasattr(coloring, "assignment") else coloring
 
     def phase_for(rnd: int) -> int:

@@ -227,7 +227,8 @@ def run_simulation(
             nbrs = nbr_sets[v]
             for u in sorted(act.sends):
                 if u not in nbrs:
-                    raise ProgramError(f"node {v} sent to non-neighbor {u}")
+                    raise ProgramError(
+                        f"node {format_decimal(v)} sent to non-neighbor {format_decimal(u)}")
                 ok = u in awake
                 if ok:
                     buffers[u].append(act.sends[u])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import resource
@@ -364,3 +365,27 @@ def test_console_entrypoint_subprocess(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1].count(",") == 22
+
+
+# SHA-256 of the CSV and the --trace file of `run --family gnp --n 4096
+# --param 0.001953125 --seeds 2`, recorded when phase outcomes were still
+# id-keyed dicts; a change of layout must leave both files byte for byte
+_PINNED = {
+    "default": ([], "675c9bc42101df7f93f9aab67b30c57e04111e1bb2c73ec760221f271720ea3a",
+                "25f9be58ede703cc0c89154db6ab490cc3ea9eb090c90cdfed4fca0aef2a12db"),
+    "phases-2-and-3": (["--k1", "1", "--phase2-threshold", "10"],
+                       "a1cd2c674f7eeef01bea6c8597e4ae2d420581ce23f571317fb76aae8d74455b",
+                       "d8eae1fe36b2c292632806d14bef30c1ba6d6bbe3d79438fe80cad94e0fb9a48"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PINNED))
+def test_run_output_is_pinned(tmp_path, capsys, config):
+    extra, csv_sha, trace_sha = _PINNED[config]
+    out, trace = tmp_path / "run.csv", tmp_path / "run.trace"
+    code, _, err = run_cli(["run", "--family", "gnp", "--n", "4096",
+                            "--param", "0.001953125", "--seeds", "2", *extra,
+                            "--out", str(out), "--trace", str(trace)], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha

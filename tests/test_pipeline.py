@@ -1,13 +1,28 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import assert_same_phase1, assert_same_phase2, assert_same_phase3
 from sleepcolor.coloring import PipelineConfig, phase1, phase2, phase3, run_pipeline
-from sleepcolor.errors import InternalError, RunIncomplete
-from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
+from sleepcolor.errors import (
+    AlgorithmInvariantViolation,
+    InstanceError,
+    InternalError,
+    ProgramError,
+    RunIncomplete,
+)
+from sleepcolor.graph import (
+    ColoringInstance,
+    build_graph,
+    format_decimal,
+    generate,
+    make_default_instance,
+    make_instance,
+)
 from sleepcolor.metrics import collect
-from sleepcolor.simcore import Trace
+from sleepcolor.simcore import Action, Trace, run_simulation
 
 
 def test_single_node_graph_colors_with_at_most_four_awake_rounds():
@@ -237,3 +252,95 @@ def _assert_valid_residual(residual, inst):
     for v, lst in residual.lists.items():
         original = iter(inst.lists[v])
         assert all(c in original for c in lst), v
+
+
+def test_default_lists_are_shared_per_degree_and_left_intact():
+    inst = make_default_instance(generate("gnp", 300, seed=6, param=0.02))
+    g = inst.graph
+    by_degree = {}
+    for v, nbrs in zip(g.nodes, g.neighbors):
+        assert by_degree.setdefault(len(nbrs), inst.lists[v]) is inst.lists[v]
+    assert len(by_degree) < len(g.nodes)
+    # the kernels prune copies, never the shared tuples
+    coloring, metrics = run_pipeline(inst, PipelineConfig(seed=6, k1=1,
+                                                          phase2_degree_threshold=3))
+    assert metrics.validity == "proper_total"
+    assert {2, 3} <= {ph for _a, _t, ph in metrics.per_node.values()}
+    for v, nbrs in zip(g.nodes, g.neighbors):
+        assert inst.lists[v] == tuple(range(1, len(nbrs) + 2))
+
+
+# Ids past the interpreter's 4,300-digit str() limit: every error message that
+# names a node prints it in full through graph.format_decimal
+_A, _B = 10**4400, 10**4400 + 1
+
+
+class _SendsToStranger:
+    def initial_state(self, ctx):
+        return None
+
+    def on_round(self, ctx, inbox):
+        return Action(sends={_B: "hi"})
+
+
+def _emptied():
+    return ColoringInstance(build_graph([], [_A]), {_A: ()})
+
+
+def _collect(events):
+    trace = Trace()
+    trace.node_events.extend(events)
+    inst = make_default_instance(build_graph([], [_A]))
+    collect(trace, {_A: 1}, inst, PipelineConfig())
+
+
+# path -> (error type, the ids its message names, the call)
+_HUGE_ID_ERRORS = {
+    "phase1-out-of-colors": (AlgorithmInvariantViolation, [_A],
+                             lambda: phase1.run_phase1(_emptied(), 1, 0)),
+    "phase1-engine-out-of-colors": (AlgorithmInvariantViolation, [_A],
+                                    lambda: phase1.simulate_phase1(_emptied(), 1, 0)),
+    "induced-unknown-id": (InstanceError, [_A],
+                           lambda: build_graph([], [_B]).induced([_A])),
+    "missing-list": (InstanceError, [_A],
+                     lambda: make_instance(build_graph([], [_A]), {})),
+    "list-for-unknown-node": (InstanceError, [_A], lambda: make_instance(
+        build_graph([], [_B]), {_B: (1,), _A: (1,)})),
+    "collect-unknown-node": (InternalError, [_B], lambda: _collect([(1, _B, "term")])),
+    "collect-terminated-twice": (InternalError, [_A],
+                                 lambda: _collect([(1, _A, "term"), (2, _A, "term")])),
+    "collect-never-terminated": (InternalError, [_A], lambda: _collect([(1, _A, "cont")])),
+    "engine-non-neighbor": (ProgramError, [_A, _B], lambda: run_simulation(
+        build_graph([], [_A, _B]), _SendsToStranger(), None, 0, round_cap=1)),
+    "linial-no-point": (AlgorithmInvariantViolation, [_A],
+                        lambda: phase3.linial_step(_A, [_A], 3, 1, _A)),
+    "phase3-no-free-color": (AlgorithmInvariantViolation, [_A],
+                             lambda: phase3.run_phase3(_emptied())),
+    "phase3-engine-no-free-color": (AlgorithmInvariantViolation, [_A],
+                                    lambda: phase3.simulate_phase3(_emptied())),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_HUGE_ID_ERRORS))
+def test_error_messages_print_ids_past_the_digit_limit(path):
+    error, ids, call = _HUGE_ID_ERRORS[path]
+    with pytest.raises(error) as err:
+        call()
+    assert all(format_decimal(v) in str(err.value) for v in ids)
+
+
+def test_pipeline_peak_memory_above_the_instance():
+    # tracemalloc peak of run_pipeline on gnp 2^14, expected degree 8, seed 3,
+    # measured on top of the instance: 6.4 MB while phase outcomes and the run
+    # held id-keyed dicts of n entries, 3.7 MB with position-indexed lists
+    # from the kernel to RunMetrics; the bound sits between the two
+    n = 2**14
+    inst = make_default_instance(generate("gnp", n, seed=3, param=8 / n))
+    tracemalloc.start()
+    try:
+        _, metrics = run_pipeline(inst, PipelineConfig(seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert metrics.validity == "proper_total"
+    assert peak < 4.5e6
