@@ -131,7 +131,7 @@ def run_phase1(
     round engine's run.
     """
     return _kernel_run(instance, [_kernels.RING1] * instance.graph.node_count, 0,
-                       iterations, seed, trace)
+                       iterations, seed, trace=trace)
 
 
 def simulate_phase1(
@@ -158,14 +158,11 @@ def simulate_phase1(
     return _engine_run(instance, result)
 
 
-def _kernel_run(instance: ColoringInstance, roles, threshold: int, iterations: int,
-                seed: int, trace: Trace | None,
-                where: str = "(inadmissible instance?)") -> PhaseOutcome:
+def _kernel_run(instance: ColoringInstance, *args, **kwargs) -> PhaseOutcome:
     """`_kernels.run_iterations` on the instance, as its outcome: a node is
     awake from round 1 to the round it stops in, and an adopter stops in
     the round it terminates."""
-    color, stop, rounds, lists = _kernels.run_iterations(
-        instance, roles, threshold, iterations, seed, trace=trace, where=where)
+    color, stop, rounds, lists = _kernels.run_iterations(instance, *args, **kwargs)
     return PhaseOutcome(instance.graph.nodes, color, stop,
                         [s if c else 0 for c, s in zip(color, stop)],
                         _residual(instance, color, lists), rounds)

@@ -110,8 +110,8 @@ def run_phase2(
     """
     return _degree_reduction(
         residual, threshold, iteration_cap,
-        lambda roles: _kernel_run(residual, roles, threshold, iteration_cap, seed, trace,
-                                  "in degree reduction"),
+        lambda roles: _kernel_run(residual, roles, threshold, iteration_cap, seed,
+                                  trace=trace, where="in degree reduction"),
     )
 
 
