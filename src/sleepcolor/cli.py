@@ -6,9 +6,9 @@ Subcommands:
   scaling  run a size sweep and fit awake complexity against log2 log2 n
   oracle   exact single-iteration adoption probabilities (tiny instances)
 
-Exit codes: 0 all runs valid, 1 usage/instance errors, 2 when a phase
-overran its own schedule (an internal invariant).  Errors go to stderr
-prefixed "error:".
+Exit codes: 0 all runs valid, 1 usage, instance or output errors, 2 when a
+phase overran its own schedule (an internal invariant).  Errors go to
+stderr prefixed "error:".
 """
 
 from __future__ import annotations
@@ -53,13 +53,9 @@ def build_parser() -> _Parser:
         p.add_argument("--seeds", type=int, default=1, help="number of seeds to run")
         p.add_argument("--seed-base", type=int, default=0,
                        help="first seed; seeds are base..base+k-1")
-        p.add_argument("--k1-coef", type=float, default=3.0,
-                       help="phase-1 budget coefficient (times log2 log2 n)")
         p.add_argument("--k1", type=int, help="phase-1 iteration budget override")
         p.add_argument("--phase2-threshold", type=int,
                        help="degree threshold for phase 2 (default: polylog, usually > n)")
-        p.add_argument("--phase2-cap", type=int, default=40,
-                       help="phase-2 iteration cap")
 
     p_run = sub.add_parser("run", help="run the pipeline over a seed sweep")
     add_common(p_run)
@@ -78,13 +74,7 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args, seed: int) -> PipelineConfig:
-    return PipelineConfig(
-        k1=args.k1,
-        k1_coefficient=args.k1_coef,
-        phase2_degree_threshold=args.phase2_threshold,
-        phase2_iteration_cap=args.phase2_cap,
-        seed=seed,
-    )
+    return PipelineConfig(k1=args.k1, phase2_degree_threshold=args.phase2_threshold, seed=seed)
 
 
 def _read(path: str):
@@ -170,6 +160,8 @@ def cmd_scaling(args) -> int:
         raise UsageError(f"bad --sizes list: {args.sizes!r}") from None
     if not sizes:
         raise UsageError("--sizes must list at least one size")
+    if min(sizes) < 1:
+        raise UsageError(f"--sizes must all be >= 1, got {min(sizes)}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
     if args.instance:
@@ -258,6 +250,10 @@ def main(argv=None) -> int:
     except RunIncomplete as exc:
         print(f"error: incomplete: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output path that cannot be written; input files are read by `_read`
+        print(f"error: io: {exc}", file=sys.stderr)
+        return 1
     except SleepColorError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1

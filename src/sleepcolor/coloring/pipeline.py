@@ -4,9 +4,9 @@ Phase boundaries are globally scheduled from (n, config) alone, which is
 what lets every node compute them locally:
 
   phase 1   rounds 1 .. 2*k1
-  phase 2   rounds 2*k1+1 .. 2*k1 + 2*cap, scheduled only when the degree
-            threshold is reachable at all (threshold <= n-1 and cap >= 1);
-            the window passes silently when no node is above the threshold
+  phase 2   rounds 2*k1+1 .. 2*k1 + 2*40, scheduled only when the degree
+            threshold is reachable at all (threshold <= n-1); the window
+            passes silently when no node is above the threshold
   phase 3   starts right after the phase-2 window (or after phase 1 when
             no window is scheduled) and runs at most its own schedule,
             interim rounds + 2C - 1 (C = phase-3 interim classes)
@@ -34,13 +34,13 @@ from .phase3 import run_phase3
 _PHASE1_SALT = 0x70310001
 _PHASE2_SALT = 0x70320002
 
+K1_COEFFICIENT = 3.0           # phase 1 runs ~K1_COEFFICIENT * log2 log2 n iterations
+PHASE2_ITERATION_CAP = 40      # length of the phase-2 window, in iterations
 
-def default_k1(n: int, coefficient: float) -> int:
-    """Iteration budget for phase 1: ~coefficient * log2 log2 n, at least 1."""
-    inner = math.log2(max(2, n))
-    if inner <= 1.0:
-        return 1
-    return max(1, math.ceil(coefficient * math.log2(inner)))
+
+def default_k1(n: int) -> int:
+    """Iteration budget for phase 1: ~K1_COEFFICIENT * log2 log2 n, at least 1."""
+    return max(1, math.ceil(K1_COEFFICIENT * math.log2(math.log2(max(2, n)))))
 
 
 def default_phase2_threshold(n: int) -> int:
@@ -49,40 +49,25 @@ def default_phase2_threshold(n: int) -> int:
     The polylog cutoff exceeds n at desk scale, making phase 2 a scheduled
     no-op unless the caller forces a small threshold explicitly.
     """
-    if n < 2:
-        return 8
     return max(8, math.ceil(math.log2(n) ** 7))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     k1: int | None = None
-    k1_coefficient: float = 3.0
     phase2_degree_threshold: int | None = None
-    phase2_iteration_cap: int = 40
     seed: int = 0
 
     def resolve(self, n: int) -> "PipelineConfig":
         """Fill the size-dependent defaults for an n-node instance.
 
-        Raises UsageError for a phase-1 budget that cannot run: k1 < 1, a
-        non-finite k1_coefficient, or one whose derived budget overflows.
+        Raises UsageError for a phase-1 budget that cannot run (k1 < 1).
         """
         if self.k1 is not None and self.k1 < 1:
             raise UsageError(f"k1 must be >= 1, got {self.k1}")
-        if not math.isfinite(self.k1_coefficient):
-            raise UsageError(f"k1_coefficient must be finite, got {self.k1_coefficient}")
-        k1 = self.k1
-        if k1 is None:
-            try:
-                k1 = default_k1(n, self.k1_coefficient)
-            except OverflowError:
-                raise UsageError(
-                    f"k1_coefficient {self.k1_coefficient} gives an infinite phase-1 budget"
-                ) from None
         return replace(
             self,
-            k1=k1,
+            k1=self.k1 if self.k1 is not None else default_k1(n),
             phase2_degree_threshold=(
                 self.phase2_degree_threshold
                 if self.phase2_degree_threshold is not None
@@ -90,26 +75,25 @@ class PipelineConfig:
             ),
         )
 
-    def phase2_scheduled(self, n: int) -> bool:
-        """Whether the global schedule reserves a phase-2 window at all."""
-        cfg = self.resolve(n)
-        return cfg.phase2_iteration_cap >= 1 and cfg.phase2_degree_threshold <= n - 1
-
     def phase_boundaries(self, n: int) -> tuple[int, int]:
-        """(end of phase-1 window, end of phase-2 window) in global rounds."""
+        """(end of phase-1 window, end of phase-2 window) in global rounds.
+
+        The two are equal when no phase-2 window is scheduled: no node of an
+        n-node graph can exceed the degree threshold.
+        """
         cfg = self.resolve(n)
         s2 = 2 * cfg.k1
-        s3 = s2 + (2 * cfg.phase2_iteration_cap if self.phase2_scheduled(n) else 0)
+        s3 = s2 + (2 * PHASE2_ITERATION_CAP if cfg.phase2_degree_threshold <= n - 1 else 0)
         return s2, s3
 
     def kv_block(self) -> list[str]:
         """Flat key=value lines (embedded in CSV output for reproducibility)."""
         return [
             f"k1={self.k1 if self.k1 is not None else 'auto'}",
-            f"k1_coefficient={self.k1_coefficient}",
+            f"k1_coefficient={K1_COEFFICIENT}",
             f"phase2_degree_threshold="
             f"{self.phase2_degree_threshold if self.phase2_degree_threshold is not None else 'auto'}",
-            f"phase2_iteration_cap={self.phase2_iteration_cap}",
+            f"phase2_iteration_cap={PHASE2_ITERATION_CAP}",
             f"seed={self.seed}",
         ]
 
@@ -156,13 +140,13 @@ def run_pipeline(
 
     residual = p1.residual
     phase2_incomplete = False
-    if residual is not None and config.phase2_scheduled(n):
+    if residual is not None and s3 > s2:
         if trace is not None:
             trace.round_offset = s2
         p2 = run_phase2(
             residual,
             cfg.phase2_degree_threshold,
-            cfg.phase2_iteration_cap,
+            PHASE2_ITERATION_CAP,
             derive_seed(cfg.seed, _PHASE2_SALT),
             trace=trace,
         )

@@ -127,7 +127,8 @@ def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Gr
                 raise InstanceError(f"duplicate edge ({format_decimal(nodes[i])},"
                                     f"{format_decimal(nodes[j])})")
             prev = j
-    neighbors = tuple(map(tuple, adj))
+        adj[i] = tuple(nbrs)                     # frees the list as it goes
+    neighbors = tuple(adj)
     return Graph(nodes, neighbors, max(map(len, neighbors)), _id_bit_size(nodes))
 
 

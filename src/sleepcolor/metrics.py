@@ -60,11 +60,6 @@ class RunMetrics:
     phase_rounds: dict[int, int] = field(default_factory=dict)
     phase3_classes: int = 0
 
-    def uncolored_after_iteration(self, i: int, n: int) -> int:
-        """Nodes still uncolored once phase-1 iteration i has resolved."""
-        done = sum(c for j, c in self.decay_histogram.items() if j <= i)
-        return n - done
-
     def csv_row(self, seed: int, family: str, n: int, param, k: int,
                 threshold: int) -> list[str]:
         xs = [self.decay_histogram.get(i, 0)

@@ -5,8 +5,8 @@ enough to enumerate exactly: each node draws 0 with probability 1/2 and
 each of its list colors with probability 1/(2|L|).  The enumeration sums
 integer weights over a common denominator and returns exact rationals, so
 bound checks like "adoption probability >= 1/4" carry no floating-point
-risk.  Doubles as the calibration target for the Monte Carlo paths through
-the simulator.
+risk.  Doubles as the calibration target for the Monte Carlo kernel,
+`_kernels.phase1_trial_counts`.
 """
 
 from __future__ import annotations
@@ -68,27 +68,6 @@ def exact_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fracti
             if all(joint[j][0] != cv for j in nbrs):
                 hits[i] += weight
     return {v: Fraction(h, total) for v, h in zip(nodes, hits)}
-
-
-def exact_expected_uncolored_after_one_iteration(instance: ColoringInstance) -> Fraction:
-    """Sum over nodes of (1 - adoption probability); at most (3/4) * n."""
-    probs = exact_adoption_probabilities(instance)
-    return sum((1 - p for p in probs.values()), Fraction(0))
-
-
-def monte_carlo_adoption(
-    instance: ColoringInstance, seed_base: int, trials: int
-) -> dict[int, Fraction]:
-    """Empirical adoption frequencies over `trials` seeded single iterations.
-
-    Each trial is bit-identical to one run of the first phase-1 iteration
-    through the round engine (see `_kernels`), so this estimates exactly
-    the distribution the simulator realizes.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    counts = _kernels.phase1_trial_counts(instance, seed_base, trials)
-    return {v: Fraction(c, trials) for v, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,10 @@ def test_c04_geometric_decay():
     for seed in range(r):
         g = generate("gnp", n, seed=seed, param=8 / n)
         metrics = _run(make_default_instance(g), seed)
+        uncolored = n
         for i in range(1, 9):
-            totals[i] += metrics.uncolored_after_iteration(i, n)
+            uncolored -= metrics.decay_histogram.get(i, 0)
+            totals[i] += uncolored
     slack = 3 * math.sqrt(n / r)
     worst_margin = min(
         n * 0.75 ** i + slack - totals[i] / r for i in range(1, 9)

@@ -131,11 +131,8 @@ def test_run_missing_family_usage_error(capsys):
     assert err.startswith("error: usage:")
 
 
-@pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"],
-                                    ["--k1-coef", "nan"], ["--k1-coef", "inf"],
-                                    ["--k1-coef", "1.5e308"]],
-                         ids=["k1=0", "k1=-3", "k1-coef=nan", "k1-coef=inf",
-                              "k1-coef=1.5e308"])
+@pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"]],
+                         ids=["k1=0", "k1=-3"])
 def test_run_unusable_phase1_budget_usage_error(budget, capsys):
     code, _, err = run_cli(["run", "--family", "path", "--n", "8", *budget], capsys)
     assert code == 1
@@ -245,6 +242,26 @@ def test_scaling_bad_sizes_exits_one(capsys):
     assert code == 1 and err.startswith("error: usage:")
 
 
+@pytest.mark.parametrize("sizes", ["0", "16,-5"])
+def test_scaling_sizes_below_one_usage_error(sizes, capsys):
+    # size 0 once reached gnp's param / n and died with ZeroDivisionError
+    code, _, err = run_cli(["scaling", "--sizes", sizes], capsys)
+    assert code == 1 and err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("args", [
+    lambda d: ["run", "--family", "path", "--n", "8", "--out", str(d / "no" / "o.csv")],
+    lambda d: ["run", "--family", "path", "--n", "8", "--trace", str(d / "no" / "t")],
+    lambda d: ["run", "--family", "path", "--n", "8", "--trace", str(d)],
+    lambda d: ["scaling", "--sizes", "16", "--out", str(d / "no" / "o.csv")],
+], ids=["run-out-missing-dir", "run-trace-missing-dir", "run-trace-is-a-dir",
+        "scaling-out-missing-dir"])
+def test_unwritable_output_path_is_an_error_line(args, tmp_path, capsys):
+    code, _, err = run_cli(args(tmp_path), capsys)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_oracle_catalog_exit_zero(capsys):
     code, out, _ = run_cli(["oracle"], capsys)
     assert code == 0
@@ -299,16 +316,15 @@ def test_run_huge_phase1_budget_allocates_only_what_runs():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    for budget in (["--k1", "1000000000"], ["--k1-coef", "1e308"]):
-        out = subprocess.run(
-            [sys.executable, "-m", "sleepcolor.cli", "run", "--family", "path",
-             "--n", "8", "--seeds", "2", *budget],
-            capture_output=True, text=True, env=_child_env(), preexec_fn=limit,
-            timeout=120,
-        )
-        assert out.returncode == 0, (budget, out.stderr)
-        rows = [l for l in out.stdout.splitlines() if not l.startswith("#")][1:]
-        assert len(rows) == 2 and all(r.split(",")[9] == "1" for r in rows)
+    out = subprocess.run(
+        [sys.executable, "-m", "sleepcolor.cli", "run", "--family", "path",
+         "--n", "8", "--seeds", "2", "--k1", "1000000000"],
+        capture_output=True, text=True, env=_child_env(), preexec_fn=limit,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [l for l in out.stdout.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 2 and all(r.split(",")[9] == "1" for r in rows)
 
 
 def test_run_huge_ids_finish_phase3(tmp_path):

@@ -130,18 +130,3 @@ def test_average_awake_six_decimals():
     m = _metrics(avg=Fraction(7, 3))
     row = m.csv_row(seed=0, family="path", n=2, param=None, k=1, threshold=8)
     assert row[7] == "2.333333"
-
-
-def test_uncolored_after_iteration():
-    m = RunMetrics(
-        per_node={},
-        worst_case_awake=0,
-        average_awake=Fraction(0),
-        total_rounds=0,
-        decay_histogram={1: 4, 2: 3, 3: 1},
-        validity="proper_total",
-        phase2_incomplete=False,
-    )
-    assert m.uncolored_after_iteration(1, 10) == 6
-    assert m.uncolored_after_iteration(2, 10) == 3
-    assert m.uncolored_after_iteration(3, 10) == 2

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import reference_adoption_probabilities
+from sleepcolor import _kernels
 from sleepcolor.errors import TooLargeForOracle
 from sleepcolor.graph import build_graph, generate, make_default_instance, make_instance
 from sleepcolor.oracle import (
     ASSIGNMENT_KINDS,
     choice_space,
     exact_adoption_probabilities,
-    exact_expected_uncolored_after_one_iteration,
-    monte_carlo_adoption,
     tiny_catalog,
 )
 
@@ -25,7 +24,6 @@ def test_isolated_node_is_exactly_one_half():
     g = build_graph([], [0])
     inst = make_instance(g, {0: (1,)})
     assert exact_adoption_probabilities(inst)[0] == Fraction(1, 2)
-    assert exact_expected_uncolored_after_one_iteration(inst) == Fraction(1, 2)
 
 
 def test_edge_with_two_color_lists():
@@ -35,7 +33,6 @@ def test_edge_with_two_color_lists():
     probs = exact_adoption_probabilities(_edge_12())
     assert probs[0] == Fraction(3, 8)
     assert probs[1] == Fraction(3, 8)
-    assert exact_expected_uncolored_after_one_iteration(_edge_12()) == Fraction(5, 4)
 
 
 def test_triangle_default_lists():
@@ -43,9 +40,9 @@ def test_triangle_default_lists():
     probs = exact_adoption_probabilities(inst)
     # each node: sum over c of (1/6) * (5/6)^2
     assert all(p == Fraction(25, 72) for p in probs.values())
-    expected = exact_expected_uncolored_after_one_iteration(inst)
-    assert expected == 3 * Fraction(47, 72)
-    assert expected <= Fraction(9, 4)
+    expected_uncolored = sum(1 - p for p in probs.values())
+    assert expected_uncolored == 3 * Fraction(47, 72)
+    assert expected_uncolored <= Fraction(9, 4)
 
 
 def test_choice_space_weights_sum_to_twice_the_list_size():
@@ -94,14 +91,8 @@ def test_enumeration_guard():
 def test_monte_carlo_matches_oracle_on_edge():
     inst = _edge_12()
     trials = 40_000
-    freq = monte_carlo_adoption(inst, seed_base=777, trials=trials)
+    counts = _kernels.phase1_trial_counts(inst, seed_base=777, trials=trials)
     p = 3 / 8
     sigma = math.sqrt(p * (1 - p) / trials)
     for v in (0, 1):
-        assert abs(float(freq[v]) - p) <= 4 * sigma
-
-
-def test_monte_carlo_rejects_fewer_than_one_trial():
-    for trials in (0, -3):
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            monte_carlo_adoption(_edge_12(), 1, trials)
+        assert abs(counts[v] / trials - p) <= 4 * sigma

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_same_phase1, assert_same_phase2, assert_same_phase3
 from sleepcolor.coloring import PipelineConfig, phase1, phase2, phase3, run_pipeline
+from sleepcolor.coloring.pipeline import PHASE2_ITERATION_CAP, default_k1
 from sleepcolor.errors import (
     AlgorithmInvariantViolation,
     InstanceError,
@@ -99,11 +100,11 @@ def test_phase3_schedule_overrun_raises_run_incomplete(monkeypatch):
 def test_forced_phase2_window_and_phase3_offsets():
     g = generate("gnp", 150, seed=4, param=0.12)
     inst = make_default_instance(g)
-    cfg = PipelineConfig(seed=4, k1=2, phase2_degree_threshold=6, phase2_iteration_cap=10)
+    cfg = PipelineConfig(seed=4, k1=2, phase2_degree_threshold=6)
     _, m = run_pipeline(inst, cfg)
     assert m.validity == "proper_total"
     s2, s3 = cfg.phase_boundaries(inst.graph.node_count)
-    assert s3 == s2 + 20
+    assert s3 == s2 + 80
     phase2_terms = [t for _, (_a, t, ph) in m.per_node.items() if ph == 2]
     phase3_terms = [t for _, (_a, t, ph) in m.per_node.items() if ph == 3]
     assert all(s2 < t <= s3 for t in phase2_terms)
@@ -132,8 +133,7 @@ def test_pipeline_never_runs_the_engine(monkeypatch):
 
 def test_trace_collect_agrees_with_pipeline_metrics():
     cases = [
-        (90, 0.08, PipelineConfig(seed=6, k1=2, phase2_degree_threshold=5,
-                                  phase2_iteration_cap=8)),
+        (90, 0.08, PipelineConfig(seed=6, k1=2, phase2_degree_threshold=5)),
         # phase-2 dropouts sleep through the window and wake again in phase 3
         (512, 8 / 512, PipelineConfig(seed=1, k1=1, phase2_degree_threshold=10)),
     ]
@@ -180,14 +180,12 @@ def test_collect_rejects_a_node_that_never_terminated():
 
 
 def test_empty_graph_pipeline():
-    from sleepcolor.coloring import default_k1
-
     g = build_graph([], list(range(50)))
     inst = make_default_instance(g)
     _, m = run_pipeline(inst, PipelineConfig(seed=77))
     assert m.validity == "proper_total"
     # worst case: survive all of phase 1, then preliminary + leaf in phase 3
-    assert m.worst_case_awake <= 2 * default_k1(50, 3.0) + 2
+    assert m.worst_case_awake <= 2 * default_k1(50) + 2
 
 
 @st.composite
@@ -235,10 +233,11 @@ def test_every_admissible_instance_gets_a_proper_list_coloring(inst, k1, thresho
     if residual is not None:
         _assert_valid_residual(residual, inst)
         p2, _ = assert_same_phase2(residual, resolved.phase2_degree_threshold,
-                                   resolved.phase2_iteration_cap, seed)
+                                   PHASE2_ITERATION_CAP, seed)
         if p2.residual is not None:
             _assert_valid_residual(p2.residual, inst)
-        if cfg.phase2_scheduled(inst.graph.node_count):
+        s2, s3 = cfg.phase_boundaries(inst.graph.node_count)
+        if s3 > s2:
             residual = p2.residual
     if residual is not None:
         assert_same_phase3(residual)
