@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -86,6 +87,14 @@ def _read(path: str):
         raise InstanceError(f"cannot read {path}: {exc}") from None
 
 
+def _output(path):
+    """`path` opened for writing, or a null context when no path is given.
+
+    Output files are opened before the first run, so an unwritable path
+    fails before any work is done."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
 def _sweep(args, family, n, param, trace_out=None):
     """Run the seed sweep, returning (csv rows, metrics list, exit code).
 
@@ -124,15 +133,12 @@ def _sweep(args, family, n, param, trace_out=None):
 def cmd_run(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    with (open(args.trace, "w", encoding="utf-8") if args.trace
-          else nullcontext()) as trace_out:
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        raise UsageError("--out and --trace name the same file")
+    with _output(args.trace) as trace_out, _output(args.out) as out:
         rows, _metrics, code = _sweep(args, args.family, args.n, args.param, trace_out)
-    header = _config_from_args(args, args.seed_base).kv_block()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_csv(fh, rows, header)
-    else:
-        write_csv(sys.stdout, rows, header)
+        # written after the last run: the header's width depends on every row
+        write_csv(out or sys.stdout, rows, _config_from_args(args, args.seed_base).kv_block())
     return code
 
 
@@ -171,37 +177,36 @@ def cmd_scaling(args) -> int:
     xs, worst_max, avg_mean = [], [], []
     family = args.family or "gnp"
     code = 0
-    for n in sizes:
-        # gnp's --param is the expected degree here, so p = param / n
-        param = args.param
-        if family == "gnp":
-            param = (param if param is not None else 8.0) / n
-        rows, metrics, c = _sweep(args, family, n, param)
-        code = max(code, c)
-        all_rows.extend(rows)
-        summary = aggregate(metrics)
-        x = math.log2(math.log2(n)) if n >= 4 else 1.0
-        xs.append(x)
-        worst_max.append(summary["worst_case_awake"]["max"])
-        avg_mean.append(summary["average_awake"]["mean"])
-        print(
-            f"size n={n} runs={summary['runs']} "
-            f"worst_awake_max={summary['worst_case_awake']['max']:.0f} "
-            f"worst_awake_p95={summary['worst_case_awake']['p95']:.0f} "
-            f"avg_awake_mean={summary['average_awake']['mean']:.4f} "
-            f"total_rounds_max={summary['total_rounds']['max']:.0f} "
-            f"all_valid={int(summary['all_valid'])}"
-        )
-    a, b, residuals = fit_line(xs, worst_max)
-    res_txt = ",".join(f"{r:+.3f}" for r in residuals)
-    print(f"fit worst_awake_max ~ a*log2log2(n)+b: a={a:.4f} b={b:.4f} "
-          f"residuals=[{res_txt}] max_residual={max(abs(r) for r in residuals):.4f}")
-    slope, _b2, _res2 = fit_line(xs, avg_mean)
-    print(f"fit avg_awake_mean slope={slope:.4f}")
-    if args.out:
-        header = _config_from_args(args, args.seed_base).kv_block()
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_csv(fh, all_rows, header)
+    with _output(args.out) as out:
+        for n in sizes:
+            # gnp's --param is the expected degree here, so p = param / n
+            param = args.param
+            if family == "gnp":
+                param = (param if param is not None else 8.0) / n
+            rows, metrics, c = _sweep(args, family, n, param)
+            code = max(code, c)
+            all_rows.extend(rows)
+            summary = aggregate(metrics)
+            x = math.log2(math.log2(n)) if n >= 4 else 1.0
+            xs.append(x)
+            worst_max.append(summary["worst_case_awake"]["max"])
+            avg_mean.append(summary["average_awake"]["mean"])
+            print(
+                f"size n={n} runs={summary['runs']} "
+                f"worst_awake_max={summary['worst_case_awake']['max']:.0f} "
+                f"worst_awake_p95={summary['worst_case_awake']['p95']:.0f} "
+                f"avg_awake_mean={summary['average_awake']['mean']:.4f} "
+                f"total_rounds_max={summary['total_rounds']['max']:.0f} "
+                f"all_valid={int(summary['all_valid'])}"
+            )
+        a, b, residuals = fit_line(xs, worst_max)
+        res_txt = ",".join(f"{r:+.3f}" for r in residuals)
+        print(f"fit worst_awake_max ~ a*log2log2(n)+b: a={a:.4f} b={b:.4f} "
+              f"residuals=[{res_txt}] max_residual={max(abs(r) for r in residuals):.4f}")
+        slope, _b2, _res2 = fit_line(xs, avg_mean)
+        print(f"fit avg_awake_mean slope={slope:.4f}")
+        if out is not None:
+            write_csv(out, all_rows, _config_from_args(args, args.seed_base).kv_block())
     return code
 
 

@@ -89,9 +89,8 @@ class PhaseOutcome:
     """What one pipeline phase produced, in phase-local round numbering.
 
     The figures are lists over the node positions of the instance the phase
-    ran on: position i is node nodes[i].  The id-keyed views `colors`,
-    `awake_rounds` and `termination_round` are derived from them on first
-    read.
+    ran on: position i is node nodes[i].  `colors`, the one id-keyed view,
+    is derived on first read; the benchmark's layer counter reads it.
     """
 
     nodes: tuple[int, ...]                     # the instance's ids, sorted
@@ -106,16 +105,6 @@ class PhaseOutcome:
     def colors(self) -> dict[int, int]:
         """id -> color, for the nodes colored in this phase."""
         return {v: c for v, c in zip(self.nodes, self.color) if c}
-
-    @cached_property
-    def awake_rounds(self) -> dict[int, int]:
-        """id -> awake rounds, for the nodes awake in this phase."""
-        return {v: a for v, a in zip(self.nodes, self.awake) if a}
-
-    @cached_property
-    def termination_round(self) -> dict[int, int]:
-        """id -> termination round, for the nodes colored in this phase."""
-        return {v: t for v, t in zip(self.nodes, self.term) if t}
 
 
 def run_phase1(
@@ -189,7 +178,8 @@ def _residual(instance: ColoringInstance, color, lists) -> ColoringInstance | No
     node's valid list, and loses at most one color per adopted neighbor,
     which leaves the residual graph with it, so deg+1 still holds.
     """
-    kept = {v: tuple(lst) for v, c, lst in zip(instance.graph.nodes, color, lists) if not c}
-    if not kept:
+    keep = [i for i, c in enumerate(color) if not c]
+    if not keep:
         return None
-    return ColoringInstance(instance.graph.induced(kept), kept)
+    graph = instance.graph.induced(keep)
+    return ColoringInstance(graph, {v: tuple(lists[i]) for v, i in zip(graph.nodes, keep)})

@@ -130,13 +130,13 @@ def simulate_phase2(
     graph = residual.graph
 
     def engine(roles):
-        region = graph.induced([v for v, r in zip(graph.nodes, roles) if r])
-        role_of = dict(zip(graph.nodes, roles))
+        keep = [i for i, r in enumerate(roles) if r]
+        region = graph.induced(keep)
         result = run_simulation(
             region,
             Phase2Program(threshold, iteration_cap),
-            inputs={v: (residual.lists[v], role_of[v], len(ns))
-                    for v, ns in zip(region.nodes, region.neighbors)},
+            inputs={v: (residual.lists[v], roles[i], len(ns))
+                    for v, i, ns in zip(region.nodes, keep, region.neighbors)},
             seed=seed,
             round_cap=2 * iteration_cap,
             trace=trace,

@@ -366,9 +366,10 @@ class Phase3Program:
 
 def interim_palette(residual: ColoringInstance) -> tuple[list[tuple[int, int]], int]:
     """(steps, palette size) for a residual instance; trivial when edgeless."""
-    if residual.graph.max_degree == 0:
+    g = residual.graph
+    if g.max_degree == 0:
         return [], 1
-    return palette_schedule(residual.graph.id_bit_size, residual.graph.max_degree)
+    return palette_schedule(g.nodes[-1].bit_length(), g.max_degree)
 
 
 def run_phase3(
@@ -481,7 +482,6 @@ def run_phase3(
     )
     left = term.count(0)
     if left:
-        outcome.termination_round = {v: r or None for v, r in zip(ids, term)}
         raise RunIncomplete(
             f"round cap {cap} reached with {left} non-terminated nodes",
             partial=outcome,

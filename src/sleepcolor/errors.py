@@ -29,8 +29,8 @@ class RunIncomplete(SleepColorError):
     In the pipeline this means a phase overran its own schedule, an
     internal invariant.  `partial` is the run so far: from the round engine
     the capped SimulationResult; from phase 3's run on node positions
-    (`run_phase3`) its PhaseOutcome, whose termination_round maps every
-    node, None for each one cut off.
+    (`run_phase3`) its PhaseOutcome, whose `term` reads 0 for each node
+    cut off.
     """
 
     def __init__(self, message, partial=None):

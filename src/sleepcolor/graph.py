@@ -16,7 +16,6 @@ derived from it on first use.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,11 +30,6 @@ _GEN_STREAM = 0x67656E                       # "gen"
 _GNP_BATCH = 4096                            # most lanes the gnp generator draws at once
 
 
-def _id_bit_size(nodes: tuple[int, ...]) -> int:
-    """Bit length of the largest of the sorted ids (1 for none or 0)."""
-    return max(1, nodes[-1].bit_length()) if nodes else 1
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph with stable integer node ids.
@@ -47,7 +41,6 @@ class Graph:
     nodes: tuple[int, ...]                       # sorted, distinct
     neighbors: tuple[tuple[int, ...], ...]       # position -> neighbor positions
     max_degree: int
-    id_bit_size: int
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -60,12 +53,6 @@ class Graph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def degree(self, v: int) -> int:
-        i = bisect_left(self.nodes, v)
-        if i == len(self.nodes) or self.nodes[i] != v:
-            raise KeyError(v)
-        return len(self.neighbors[i])
-
     def edges(self) -> list[tuple[int, int]]:
         nodes = self.nodes
         return [(u, nodes[j]) for i, (u, nbrs) in enumerate(zip(nodes, self.neighbors))
@@ -74,21 +61,15 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.neighbors)) // 2
 
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        """Subgraph induced on `keep` (ids preserved)."""
-        keep_set = set(keep)
-        old = [i for i, v in enumerate(self.nodes) if v in keep_set]
-        if len(old) != len(keep_set):
-            unknown = keep_set.difference(self.nodes)
-            raise InstanceError(f"unknown node ids in induced subgraph: {_id_list(unknown)}")
+    def induced(self, keep: Sequence[int]) -> "Graph":
+        """Subgraph induced on the ascending node positions `keep` (ids preserved)."""
         new = [-1] * len(self.nodes)             # old position -> new position
-        for k, i in enumerate(old):
+        for k, i in enumerate(keep):
             new[i] = k
-        nodes = tuple([self.nodes[i] for i in old])
+        nodes = tuple([self.nodes[i] for i in keep])
         neighbors = tuple([tuple([new[j] for j in self.neighbors[i] if new[j] >= 0])
-                           for i in old])
-        max_degree = max(map(len, neighbors), default=0)
-        return Graph(nodes, neighbors, max_degree, _id_bit_size(nodes))
+                           for i in keep])
+        return Graph(nodes, neighbors, max(map(len, neighbors), default=0))
 
 
 def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
@@ -129,7 +110,7 @@ def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Gr
             prev = j
         adj[i] = tuple(nbrs)                     # frees the list as it goes
     neighbors = tuple(adj)
-    return Graph(nodes, neighbors, max(map(len, neighbors)), _id_bit_size(nodes))
+    return Graph(nodes, neighbors, max(map(len, neighbors)))
 
 
 @dataclass(frozen=True)
@@ -149,10 +130,6 @@ class ColoringInstance:
 
     graph: Graph
     lists: Mapping[int, tuple[int, ...]]         # id -> sorted color list
-
-    def admissible(self) -> bool:
-        g = self.graph
-        return all(len(self.lists[v]) > len(nbrs) for v, nbrs in zip(g.nodes, g.neighbors))
 
 
 def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringInstance:
@@ -229,6 +206,8 @@ def generate(family: str, n: int, seed: int, param: float | None = None) -> Grap
     elif family == "regular":
         if param is None:
             raise InstanceError("regular needs a degree parameter")
+        if not float(param).is_integer():
+            raise InstanceError(f"regular needs an integer degree, got {param}")
         edges = _regular_edges(n, int(param), seed)
     else:
         raise InstanceError(f"unknown family {family!r}")
@@ -334,6 +313,8 @@ def _regular_edges(n: int, d: int, seed: int) -> list[tuple[int, int]]:
 #   dlc 1 <n> <m>
 #   node <id> <c1> <c2> ... <ck>
 #   edge <u> <v>
+#
+# Every number is an optional "-" and ASCII digits, of any length.
 # ---------------------------------------------------------------------------
 
 
@@ -385,8 +366,15 @@ def format_decimal(x: int) -> str:
     return format_decimal(hi) + format_decimal(lo).zfill(k)
 
 
-def _ints(fields) -> tuple[int, ...]:
-    """The fields as ints; past the interpreter's digit limit, by halves."""
+def _ints(fields, line: str) -> tuple[int, ...]:
+    """The number fields of a record line as ints, each an optional "-" and
+    ASCII digits, at any length.
+
+    `int` would also take "+" and "_", so a line holding either is refused
+    first; past the interpreter's digit limit the fields convert by halves.
+    """
+    if "+" in line or "_" in line:
+        raise ValueError(f"not a decimal integer in: {line[:40]}")
     try:
         return tuple(map(int, fields))
     except ValueError:
@@ -432,11 +420,12 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) != 4:
                     raise ParseError("header must be 'dlc 1 <n> <m>'", lineno)
                 try:
-                    version, n, m = int(parts[1]), int(parts[2]), int(parts[3])
+                    version, n, m = _ints(parts[1:], line)
                 except ValueError:
                     raise ParseError("non-integer header field", lineno) from None
                 if version != 1:
-                    raise ParseError(f"unsupported format version {version}", lineno)
+                    raise ParseError(
+                        f"unsupported format version {format_decimal(version)}", lineno)
                 header = (n, m)
             elif kind == "node":
                 if header is None:
@@ -444,7 +433,7 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) < 3:
                     raise ParseError("node line needs an id and at least one color", lineno)
                 try:
-                    vid, *cols = _ints(parts[1:])
+                    vid, *cols = _ints(parts[1:], line)
                 except ValueError:
                     raise ParseError("non-integer field in node line", lineno) from None
                 node_lines.append((vid, tuple(cols)))
@@ -454,7 +443,7 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) != 3:
                     raise ParseError("edge line must be 'edge <u> <v>'", lineno)
                 try:
-                    edge_lines.append(_ints(parts[1:]))
+                    edge_lines.append(_ints(parts[1:], line))
                 except ValueError:
                     raise ParseError("non-integer field in edge line", lineno) from None
             else:
@@ -463,8 +452,10 @@ def read_instance(path: str) -> ColoringInstance:
         raise ParseError("missing 'dlc' header (empty file?)", 1)
     n, m = header
     if len(node_lines) != n:
-        raise ParseError(f"header declares {n} nodes but file has {len(node_lines)}", 1)
+        raise ParseError(f"header declares {format_decimal(n)} nodes but file has "
+                         f"{len(node_lines)}", 1)
     if len(edge_lines) != m:
-        raise ParseError(f"header declares {m} edges but file has {len(edge_lines)}", 1)
+        raise ParseError(f"header declares {format_decimal(m)} edges but file has "
+                         f"{len(edge_lines)}", 1)
     graph = build_graph(edge_lines, [vid for vid, _ in node_lines])
     return make_instance(graph, {vid: cols for vid, cols in node_lines})

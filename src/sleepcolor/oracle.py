@@ -99,8 +99,8 @@ def _nonisomorphic_graphs(max_n: int = 4):
 
 def _assignment(kind: str, graph) -> dict[int, tuple[int, ...]]:
     lists = {}
-    for i, v in enumerate(graph.nodes):
-        size = graph.degree(v) + 1
+    for i, (v, nbrs) in enumerate(zip(graph.nodes, graph.neighbors)):
+        size = len(nbrs) + 1
         if kind == "minimal":
             lists[v] = tuple(range(1, size + 1))
         elif kind == "shifted":

@@ -71,11 +71,11 @@ def random_residual_instance(trial: int, max_n: int = 60) -> ColoringInstance:
     p = 0.03 + 0.25 * (rng.randrange(1000) / 1000.0)
     graph = generate("gnp", n, seed=trial, param=p)
     lists = {}
-    for v in graph.nodes:
+    for v, nbrs in zip(graph.nodes, graph.neighbors):
         start = 1 + rng.randrange(4)
         extra = rng.randrange(3)
         step = 1 + rng.randrange(2)
-        size = graph.degree(v) + 1 + extra
+        size = len(nbrs) + 1 + extra
         lists[v] = tuple(start + step * i for i in range(size))
     return make_instance(graph, lists)
 
@@ -107,14 +107,17 @@ def assert_same_phase3(residual: ColoringInstance):
     """`run_phase3` (the kernel) and `simulate_phase3` (the engine) agree.
 
     As `assert_same_phase2`; a run that overruns its schedule must also
-    leave the same awake rounds, termination rounds (None where cut off)
-    and rounds executed in the error's `partial`.  Returns the kernel's
-    outcome (or error) and its trace, whose round offset is 5.
+    leave the same awake rounds, termination rounds (0 in the kernel's
+    outcome, None in the engine's result where cut off) and rounds executed
+    in the error's `partial`.  Returns the kernel's outcome (or error) and
+    its trace, whose round offset is 5.
     """
     kernel, engine, trace = _run_both(run_phase3, simulate_phase3, 5, residual)
     if isinstance(kernel, RunIncomplete):
-        for name in ("awake_rounds", "termination_round", "rounds_executed"):
-            assert getattr(kernel.partial, name) == getattr(engine.partial, name), name
+        mine, theirs, nodes = kernel.partial, engine.partial, residual.graph.nodes
+        assert mine.awake == [theirs.awake_rounds[v] for v in nodes]
+        assert mine.term == [theirs.termination_round[v] or 0 for v in nodes]
+        assert mine.rounds_executed == theirs.rounds_executed
     return kernel, trace
 
 

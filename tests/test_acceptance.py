@@ -300,7 +300,7 @@ def test_c10_tournament_awake_bound(phase3_corpus):
         classes = outcome.extra["classes"]
         interim_rounds = outcome.extra["interim_rounds"]
         bound = 2 * math.ceil(math.log2(classes)) + 2 if classes > 1 else 2
-        for v, awake in outcome.awake_rounds.items():
+        for v, awake in zip(outcome.nodes, outcome.awake):
             assert awake - interim_rounds <= bound, (
                 f"instance {idx} node {v}: {awake - interim_rounds} > {bound}"
             )

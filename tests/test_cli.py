@@ -131,6 +131,16 @@ def test_run_missing_family_usage_error(capsys):
     assert err.startswith("error: usage:")
 
 
+def test_run_out_and_trace_on_one_file_usage_error(tmp_path, capsys):
+    # both are open during the sweep, so one would overwrite the other
+    path = tmp_path / "o.txt"
+    code, _, err = run_cli(["run", "--family", "path", "--n", "8", "--out", str(path),
+                            "--trace", str(tmp_path / "." / "o.txt")], capsys)
+    assert code == 1
+    assert err.startswith("error: usage: --out and --trace name the same file")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"]],
                          ids=["k1=0", "k1=-3"])
 def test_run_unusable_phase1_budget_usage_error(budget, capsys):
@@ -256,10 +266,30 @@ def test_scaling_sizes_below_one_usage_error(sizes, capsys):
     lambda d: ["scaling", "--sizes", "16", "--out", str(d / "no" / "o.csv")],
 ], ids=["run-out-missing-dir", "run-trace-missing-dir", "run-trace-is-a-dir",
         "scaling-out-missing-dir"])
-def test_unwritable_output_path_is_an_error_line(args, tmp_path, capsys):
+def test_unwritable_output_path_is_an_error_line(args, tmp_path, capsys, monkeypatch):
+    # --out and --trace are opened before the first run, so no run is wasted
+    runs = []
+    real = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **kw: runs.append(a) or real(*a, **kw))
     code, _, err = run_cli(args(tmp_path), capsys)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    assert runs == []
+
+
+@pytest.mark.parametrize("param", ["2.7", "inf", "nan"])
+def test_regular_degree_that_is_not_an_integer_is_an_instance_error(param, capsys):
+    code, _, err = run_cli(["run", "--family", "regular", "--n", "10", "--param", param],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error: instance:") and "Traceback" not in err
+
+
+def test_regular_integral_float_degree_runs(capsys):
+    code, out, _ = run_cli(["run", "--family", "regular", "--n", "10", "--param", "4.0"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("0,regular,10,4.0,")
 
 
 def test_oracle_catalog_exit_zero(capsys):

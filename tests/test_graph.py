@@ -25,7 +25,6 @@ def test_single_isolated_node():
     assert g.node_count == 1
     assert g.max_degree == 0
     assert g.adjacency[7] == ()
-    assert g.id_bit_size == 3
 
 
 def test_path_of_three():
@@ -75,12 +74,6 @@ def test_build_graph_peak_memory():
         tracemalloc.stop()
     assert g.node_count == n
     assert peak < 4.4e6
-
-
-def test_id_bit_size():
-    assert build_graph([], [0]).id_bit_size == 1
-    assert build_graph([], [8]).id_bit_size == 4
-    assert build_graph([], [0, 255]).id_bit_size == 8
 
 
 def test_default_instance_triangle():
@@ -171,7 +164,7 @@ def test_gnp_probability_outside_the_unit_interval_rejected():
 
 def test_regular_generator():
     g = generate("regular", 16, seed=3, param=4)
-    assert all(g.degree(v) == 4 for v in g.nodes)
+    assert all(len(nbrs) == 4 for nbrs in g.neighbors)
     assert generate("regular", 16, seed=3, param=4).edges() == g.edges()
 
 
@@ -232,13 +225,13 @@ def test_position_layout_matches_the_edges(inputs):
         degree[v] += 1
     assert g.max_degree == max(degree.values())
     kept = set(keep)
-    assert g.induced(keep) == build_graph(
+    assert g.induced(sorted(position[v] for v in kept)) == build_graph(
         [(u, v) for u, v in edges if u in kept and v in kept], keep)
 
 
 def test_induced_subgraph():
     g = generate("cycle", 6, seed=0)
-    sub = g.induced([0, 1, 2, 4])
+    sub = g.induced([0, 1, 2, 4])             # positions, and here also ids
     assert sub.nodes == (0, 1, 2, 4)
     assert sub.adjacency[1] == (0, 2)
     assert sub.adjacency[4] == ()
@@ -262,7 +255,8 @@ def test_round_trip_default_k3(tmp_path):
 
 def test_round_trip_irregular_instance(tmp_path):
     g = generate("gnp", 30, seed=2, param=0.15)
-    lists = {v: tuple(range(v + 1, v + g.degree(v) + 3)) for v in g.nodes}
+    lists = {v: tuple(range(v + 1, v + len(nbrs) + 3))
+             for v, nbrs in zip(g.nodes, g.neighbors)}
     inst = make_instance(g, lists)
     path = tmp_path / "irr.dlc"
     write_instance(inst, str(path))
@@ -292,6 +286,50 @@ def test_read_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         read_instance(str(path))
     assert err.value.line == 2
+
+
+# a numeral is an optional "-" and ASCII digits, at any length; the "+" and
+# "_" that `int` also takes are parse errors on every kind of line
+_NUMERAL_LINES = {
+    "header": ("dlc 1 {} 0\n", 1, "non-integer header field"),
+    "node-id": ("dlc 1 1 0\nnode {} 1\n", 2, "non-integer field in node line"),
+    "node-color": ("dlc 1 1 0\nnode 1 {}\n", 2, "non-integer field in node line"),
+    "edge": ("dlc 1 2 1\nnode 0 1 2\nnode 3 1 2\nedge 0 {}\n", 4,
+             "non-integer field in edge line"),
+}
+
+
+@pytest.mark.parametrize("numeral", ["1_0", "+3", "+" + HUGE_ID_DIGITS[0]],
+                         ids=["underscore", "plus", "plus-past-the-digit-limit"])
+@pytest.mark.parametrize("kind", sorted(_NUMERAL_LINES))
+def test_read_numerals_are_minus_and_digits_only(tmp_path, kind, numeral):
+    text, line, message = _NUMERAL_LINES[kind]
+    path = tmp_path / "n.dlc"
+    path.write_text(text.format(numeral))
+    with pytest.raises(ParseError, match=message) as err:
+        read_instance(str(path))
+    assert err.value.line == line
+
+
+def test_read_header_numbers_past_the_digit_limit(tmp_path):
+    path = tmp_path / "h.dlc"
+    big = HUGE_ID_DIGITS[0]
+    for text, message in ((f"dlc 1 {big} 0\n", f"header declares {big} nodes"),
+                          (f"dlc 1 0 {big}\n", f"header declares {big} edges"),
+                          (f"dlc {big} 0 0\n", f"unsupported format version {big}")):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_instance(str(path))
+        assert message in str(err.value)
+
+
+def test_read_negative_numerals_reach_their_instance_error(tmp_path):
+    path = tmp_path / "neg.dlc"
+    for text, message in (("dlc 1 1 0\nnode -1 1\n", "non-negative"),
+                          ("dlc 1 1 0\nnode 1 -2\n", "positive")):
+        path.write_text(text)
+        with pytest.raises(InstanceError, match=message):
+            read_instance(str(path))
 
 
 def test_read_allows_comments_and_checks_counts(tmp_path):

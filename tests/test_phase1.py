@@ -36,11 +36,12 @@ def test_awake_cost_is_two_rounds_per_iteration():
     inst = make_default_instance(g)
     k = 5
     out = run_phase1(inst, iterations=k, seed=12)
-    for v, rnd in out.termination_round.items():
-        assert rnd % 2 == 0                      # adoption happens in resolve rounds
-        assert out.awake_rounds[v] == rnd        # awake every round until adopting
+    for rnd, awake in zip(out.term, out.awake):
+        if rnd:
+            assert rnd % 2 == 0                  # adoption happens in resolve rounds
+            assert awake == rnd                  # awake every round until adopting
     for v in (out.residual.graph.nodes if out.residual else ()):
-        assert out.awake_rounds[v] == 2 * k
+        assert out.awake[out.nodes.index(v)] == 2 * k
 
 
 def test_partial_prefixes_always_proper_and_admissible():
@@ -50,7 +51,7 @@ def test_partial_prefixes_always_proper_and_admissible():
         verdict = validity_verdict(inst, out.colors)
         assert verdict in ("proper_total", "proper_partial")
         if out.residual is not None:
-            assert out.residual.admissible()
+            make_instance(out.residual.graph, out.residual.lists)
 
 
 def test_k3_eventually_total_on_seed_sweep():

@@ -5,7 +5,13 @@ import pytest
 from helpers import assert_same_phase2, random_residual_instance
 from sleepcolor.coloring import run_phase1, run_phase2
 from sleepcolor.errors import AlgorithmInvariantViolation
-from sleepcolor.graph import ColoringInstance, build_graph, generate, make_default_instance
+from sleepcolor.graph import (
+    ColoringInstance,
+    build_graph,
+    generate,
+    make_default_instance,
+    make_instance,
+)
 from sleepcolor.metrics import validity_verdict
 
 
@@ -18,7 +24,7 @@ def test_empty_core_costs_nothing():
     inst = _star_instance(64)
     out = run_phase2(inst, threshold=100, iteration_cap=40, seed=1)
     assert out.rounds_executed == 0
-    assert out.awake_rounds == {}
+    assert not any(out.awake)
     assert out.colors == {}
     assert out.residual is inst
     assert out.extra["iterations"] == 0 and not out.extra["incomplete"]
@@ -65,7 +71,7 @@ def test_tiny_cap_flags_incomplete_but_preserves_admissibility():
     inst = make_default_instance(g)
     out = run_phase2(inst, threshold=4, iteration_cap=1, seed=7)
     assert out.residual is not None
-    assert out.residual.admissible()
+    make_instance(out.residual.graph, out.residual.lists)
     # degree 4 cutoff cannot be met in one iteration on a dense instance
     assert out.extra["incomplete"]
 
@@ -79,7 +85,7 @@ def test_colors_come_from_lists_and_prune_neighbors():
     for v, c in out.colors.items():
         assert c in p1.residual.lists[v]
     if out.residual is not None:
-        assert out.residual.admissible()
+        make_instance(out.residual.graph, out.residual.lists)
         for v in out.residual.graph.nodes:
             taken = {out.colors[u] for u in p1.residual.graph.adjacency[v]
                      if u in out.colors}
