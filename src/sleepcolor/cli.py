@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import oracle
 from .coloring import PipelineConfig, run_pipeline
@@ -30,7 +31,14 @@ from .errors import (
     TooLargeForOracle,
     UsageError,
 )
-from .graph import FAMILIES, format_decimal, generate, make_default_instance, read_instance
+from .graph import (
+    FAMILIES,
+    decimal_ints,
+    format_decimal,
+    generate,
+    make_default_instance,
+    read_instance,
+)
 from .metrics import aggregate, write_csv
 from .simcore import Trace
 
@@ -40,6 +48,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def integer(text: str) -> int:
+    """An integer option, in the grammar of `.dlc` fields: an optional "-"
+    and ASCII digits."""
+    return decimal_ints((text,))[0]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sleepcolor", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -47,15 +61,15 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--family", choices=FAMILIES, help="graph family to generate")
-        p.add_argument("--n", type=int, help="number of nodes")
+        p.add_argument("--n", type=integer, help="number of nodes")
         p.add_argument("--param", type=float,
                        help="family parameter (gnp probability, regular degree)")
         p.add_argument("--instance", help="read the instance from a .dlc file instead")
-        p.add_argument("--seeds", type=int, default=1, help="number of seeds to run")
-        p.add_argument("--seed-base", type=int, default=0,
+        p.add_argument("--seeds", type=integer, default=1, help="number of seeds to run")
+        p.add_argument("--seed-base", type=integer, default=0,
                        help="first seed; seeds are base..base+k-1")
-        p.add_argument("--k1", type=int, help="phase-1 iteration budget override")
-        p.add_argument("--phase2-threshold", type=int,
+        p.add_argument("--k1", type=integer, help="phase-1 iteration budget override")
+        p.add_argument("--phase2-threshold", type=integer,
                        help="degree threshold for phase 2 (default: polylog, usually > n)")
 
     p_run = sub.add_parser("run", help="run the pipeline over a seed sweep")
@@ -95,39 +109,55 @@ def _output(path):
     return open(path, "w", encoding="utf-8") if path else nullcontext()
 
 
+class _Figures(NamedTuple):
+    """The figures of one run that `aggregate` reads."""
+
+    worst_case_awake: int
+    average_awake: Fraction
+    total_rounds: int
+    validity: str
+
+
 def _sweep(args, family, n, param, trace_out=None):
-    """Run the seed sweep, returning (csv rows, metrics list, exit code).
+    """Run the seed sweep, returning (csv rows, run figures, exit code).
 
     An `--instance` file is read once and run with every seed; otherwise
     each seed generates its own graph.  With `trace_out`, each run's trace
-    goes there as soon as the run ends, under a `# run seed=S` line, and is
-    dropped before the next run starts.
+    goes there as soon as the run ends, under a `# run seed=S` line.  Only
+    the rows and figures outlive a run: its instance, coloring, metrics and
+    trace are released before the next seed generates its graph.
     """
     if args.instance:
         family, param, inst = "file", None, _read(args.instance)
+        instance_for = lambda seed: inst
     elif not family or not n:
         raise UsageError("need --family and --n (or --instance)")
-    rows = []
-    metrics_list = []
-    code = 0
+    else:
+        instance_for = lambda seed: make_default_instance(generate(family, n, seed, param))
+    rows, figures, code = [], [], 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
-        if not args.instance:
-            inst = make_default_instance(generate(family, n, seed, param))
-        size = inst.graph.node_count
-        config = _config_from_args(args, seed)
-        resolved = config.resolve(size)
-        trace = None if trace_out is None else Trace()
-        _, metrics = run_pipeline(inst, config, trace=trace)
-        if trace is not None:
-            trace_out.write(f"# run seed={seed}\n")
-            trace_out.writelines(trace.chunks())
-            del trace
-        rows.append(metrics.csv_row(seed, family, size, param,
-                                    resolved.k1, resolved.phase2_degree_threshold))
-        metrics_list.append(metrics)
-        if metrics.validity != "proper_total":
+        row, fig = _run(args, instance_for(seed), seed, family, param, trace_out)
+        rows.append(row)
+        figures.append(fig)
+        if fig.validity != "proper_total":
             code = 1
-    return rows, metrics_list, code
+    return rows, figures, code
+
+
+def _run(args, inst, seed, family, param, trace_out):
+    """One seed of a sweep: (csv row, figures)."""
+    size = inst.graph.node_count
+    config = _config_from_args(args, seed)
+    resolved = config.resolve(size)
+    trace = None if trace_out is None else Trace()
+    _, metrics = run_pipeline(inst, config, trace=trace)
+    if trace is not None:
+        trace_out.write(f"# run seed={seed}\n")
+        trace_out.writelines(trace.chunks())
+    row = metrics.csv_row(seed, family, size, param,
+                          resolved.k1, resolved.phase2_degree_threshold)
+    return row, _Figures(metrics.worst_case_awake, metrics.average_awake,
+                         metrics.total_rounds, metrics.validity)
 
 
 def cmd_run(args) -> int:
@@ -136,7 +166,7 @@ def cmd_run(args) -> int:
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise UsageError("--out and --trace name the same file")
     with _output(args.trace) as trace_out, _output(args.out) as out:
-        rows, _metrics, code = _sweep(args, args.family, args.n, args.param, trace_out)
+        rows, _figures, code = _sweep(args, args.family, args.n, args.param, trace_out)
         # written after the last run: the header's width depends on every row
         write_csv(out or sys.stdout, rows, _config_from_args(args, args.seed_base).kv_block())
     return code
@@ -160,12 +190,13 @@ def fit_line(xs, ys) -> tuple[float, float, list[float]]:
 
 
 def cmd_scaling(args) -> int:
+    items = [s.strip() for s in args.sizes.split(",") if s.strip()]
+    if not items:
+        raise UsageError("--sizes must list at least one size")
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        sizes = decimal_ints(items)
     except ValueError:
         raise UsageError(f"bad --sizes list: {args.sizes!r}") from None
-    if not sizes:
-        raise UsageError("--sizes must list at least one size")
     if min(sizes) < 1:
         raise UsageError(f"--sizes must all be >= 1, got {min(sizes)}")
     if args.seeds < 1:
@@ -183,10 +214,10 @@ def cmd_scaling(args) -> int:
             param = args.param
             if family == "gnp":
                 param = (param if param is not None else 8.0) / n
-            rows, metrics, c = _sweep(args, family, n, param)
+            rows, figures, c = _sweep(args, family, n, param)
             code = max(code, c)
             all_rows.extend(rows)
-            summary = aggregate(metrics)
+            summary = aggregate(figures)
             x = math.log2(math.log2(n)) if n >= 4 else 1.0
             xs.append(x)
             worst_max.append(summary["worst_case_awake"]["max"])

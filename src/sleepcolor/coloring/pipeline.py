@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ..errors import UsageError
 from ..graph import Coloring, ColoringInstance
-from ..metrics import RunMetrics, validity_verdict
+from ..metrics import PerNode, RunMetrics, validity_verdict
 from ..rng import derive_seed
 from ..simcore import Trace
 from .phase1 import run_phase1
@@ -164,14 +164,13 @@ def run_pipeline(
 
     # every node is colored now: phase 3 colors its whole residual or raises
     coloring = Coloring(dict(zip(nodes, p1.color)))
-    per_node = {v: (a, t, 1) for v, a, t in zip(nodes, awake, term)}
+    phase_of = bytearray(b"\x01") * n          # run position -> phase terminated in
     for i, (c, phase) in later.items():
-        v = nodes[i]
-        coloring.assignment[v] = c
-        per_node[v] = (awake[i], term[i], phase)
+        coloring.assignment[nodes[i]] = c
+        phase_of[i] = phase
 
     metrics = RunMetrics(
-        per_node=per_node,
+        per_node=PerNode(nodes, awake, term, phase_of),
         worst_case_awake=max(awake),
         average_awake=Fraction(sum(awake), n),
         total_rounds=max(term),

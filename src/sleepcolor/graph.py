@@ -366,15 +366,18 @@ def format_decimal(x: int) -> str:
     return format_decimal(hi) + format_decimal(lo).zfill(k)
 
 
-def _ints(fields, line: str) -> tuple[int, ...]:
-    """The number fields of a record line as ints, each an optional "-" and
-    ASCII digits, at any length.
+def decimal_ints(fields: Sequence[str]) -> tuple[int, ...]:
+    """The fields as ints, each an optional "-" and ASCII digits, at any
+    length: the one integer grammar of `.dlc` files and the command line.
 
-    `int` would also take "+" and "_", so a line holding either is refused
-    first; past the interpreter's digit limit the fields convert by halves.
+    `int` would also take "+", "_", blanks and non-ASCII digits, so the
+    fields are screened first: once every "-" is removed, only ASCII digits
+    may remain, and `int` refuses a "-" anywhere but first.  Past the
+    interpreter's digit limit the fields convert by halves.
     """
-    if "+" in line or "_" in line:
-        raise ValueError(f"not a decimal integer in: {line[:40]}")
+    digits = "".join(fields).replace("-", "")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer in: {' '.join(fields)[:40]}")
     try:
         return tuple(map(int, fields))
     except ValueError:
@@ -402,7 +405,7 @@ def write_instance(instance: ColoringInstance, path: str) -> None:
 def read_instance(path: str) -> ColoringInstance:
     header = None
     node_lines: list[tuple[int, tuple[int, ...]]] = []
-    edge_lines: list[tuple[int, int]] = []
+    ends: list[int] = []                   # edge endpoints, two per edge line
     # a non-ASCII byte decodes to a lone surrogate, so it is caught on its own line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -420,7 +423,7 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) != 4:
                     raise ParseError("header must be 'dlc 1 <n> <m>'", lineno)
                 try:
-                    version, n, m = _ints(parts[1:], line)
+                    version, n, m = decimal_ints(parts[1:])
                 except ValueError:
                     raise ParseError("non-integer header field", lineno) from None
                 if version != 1:
@@ -433,7 +436,7 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) < 3:
                     raise ParseError("node line needs an id and at least one color", lineno)
                 try:
-                    vid, *cols = _ints(parts[1:], line)
+                    vid, *cols = decimal_ints(parts[1:])
                 except ValueError:
                     raise ParseError("non-integer field in node line", lineno) from None
                 node_lines.append((vid, tuple(cols)))
@@ -443,7 +446,7 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) != 3:
                     raise ParseError("edge line must be 'edge <u> <v>'", lineno)
                 try:
-                    edge_lines.append(_ints(parts[1:], line))
+                    ends += decimal_ints(parts[1:])
                 except ValueError:
                     raise ParseError("non-integer field in edge line", lineno) from None
             else:
@@ -454,8 +457,9 @@ def read_instance(path: str) -> ColoringInstance:
     if len(node_lines) != n:
         raise ParseError(f"header declares {format_decimal(n)} nodes but file has "
                          f"{len(node_lines)}", 1)
-    if len(edge_lines) != m:
+    if len(ends) != 2 * m:
         raise ParseError(f"header declares {format_decimal(m)} edges but file has "
-                         f"{len(edge_lines)}", 1)
-    graph = build_graph(edge_lines, [vid for vid, _ in node_lines])
+                         f"{len(ends) // 2}", 1)
+    it = iter(ends)
+    graph = build_graph(zip(it, it), [vid for vid, _ in node_lines])
     return make_instance(graph, {vid: cols for vid, cols in node_lines})

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError, UsageError
 from .graph import UNCOLORED, ColoringInstance, format_decimal
@@ -44,12 +46,53 @@ def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) 
     return PROPER_TOTAL if total else PROPER_PARTIAL
 
 
+class PerNode(Mapping):
+    """node id -> (awake rounds, termination round, phase terminated in), read
+    from a run's position lists: the sorted `nodes`, and `awake`, `term` and
+    `phase` by position.  Nothing is copied; a lookup bisects `nodes`, and
+    `values()` and `items()` walk the lists in node order."""
+
+    __slots__ = ("nodes", "awake", "term", "phase")
+
+    def __init__(self, nodes, awake, term, phase):
+        self.nodes, self.awake, self.term, self.phase = nodes, awake, term, phase
+
+    def __getitem__(self, v):
+        i = bisect_left(self.nodes, v)
+        if i == len(self.nodes) or self.nodes[i] != v:
+            raise KeyError(v)
+        return self.awake[i], self.term[i], self.phase[i]
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        m = self._mapping
+        return zip(m.awake, m.term, m.phase)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        m = self._mapping
+        return zip(m.nodes, zip(m.awake, m.term, m.phase))
+
+
 @dataclass
 class RunMetrics:
     """Per-run complexity measurements and verdicts."""
 
-    per_node: dict[int, tuple[int, int, int]]
-    # node -> (awake rounds, termination round, phase terminated in)
+    per_node: Mapping[int, tuple[int, int, int]]   # a `PerNode` for every run
     worst_case_awake: int
     average_awake: Fraction
     total_rounds: int
@@ -122,9 +165,7 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
     # one decay entry per phase-1 iteration that ran: the budget may be huge
     last = max([rnd for rnd, _v, _act in trace.node_events if rnd <= s2], default=0)
     decay = {i: 0 for i in range(1, last // 2 + 1)}
-    phase_of: dict[int, int] = {}
-    for v, r in term.items():
-        phase_of[v] = phase_for(r)
+    for r in term.values():
         if r <= s2:
             decay[(r + 1) // 2] += 1
 
@@ -137,7 +178,9 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
         phase_rounds[p] = max(phase_rounds[p], rnd - base)
 
     return RunMetrics(
-        per_node={v: (awake[v], term[v], phase_of[v]) for v in instance.graph.nodes},
+        # both dicts were filled in node order, so their values are by position
+        per_node=PerNode(instance.graph.nodes, list(awake.values()), list(term.values()),
+                         bytes(map(phase_for, term.values()))),
         worst_case_awake=max(awake.values()),
         average_awake=Fraction(sum(awake.values()), n),
         total_rounds=max(term.values(), default=0),

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -257,6 +258,54 @@ def test_scaling_sizes_below_one_usage_error(sizes, capsys):
     # size 0 once reached gnp's param / n and died with ZeroDivisionError
     code, _, err = run_cli(["scaling", "--sizes", sizes], capsys)
     assert code == 1 and err.startswith("error: usage:")
+
+
+def test_sweep_holds_one_run_at_a_time(tmp_path, capsys):
+    # a sweep keeps each run's CSV row and four figures, not its instance,
+    # coloring or metrics: four seeds peak about as high as one (2.3 times
+    # as high while every run's metrics stayed alive)
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            code = main(["run", "--family", "gnp", "--n", "4096", "--param", "0.001953125",
+                         "--seeds", str(seeds), "--out", str(tmp_path / "o.csv")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)                                  # fills the caches a first run leaves
+    (code1, one), (code4, four) = peak(1), peak(4)
+    assert code1 == code4 == 0
+    assert four < 1.2 * one
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--family", "path", "--n", "1_0"],
+    ["run", "--family", "path", "--n", "+10"],
+    ["run", "--family", "path", "--n", " 10"],
+    ["run", "--family", "path", "--n", "\uff11\uff10"],      # full-width digits
+    ["run", "--family", "path", "--n", "10", "--seeds", "+2"],
+    ["run", "--family", "path", "--n", "10", "--seed-base", "0x1"],
+    ["run", "--family", "path", "--n", "10", "--k1", "2_0"],
+    ["run", "--family", "path", "--n", "10", "--phase2-threshold", "1-0"],
+    ["scaling", "--sizes", "1_6,+32"],
+    ["scaling", "--sizes", "16,3 2"],
+    ["scaling", "--sizes", "16,--32"],
+])
+def test_integer_options_take_only_sign_and_ascii_digits(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == "" and err.startswith("error: usage:")
+
+
+def test_integer_options_take_a_minus_sign_and_blanks_around_sizes(capsys):
+    code, out, _ = run_cli(["run", "--family", "path", "--n", "010", "--seeds", "2",
+                            "--seed-base", "-3"], capsys)
+    rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+    assert code == 0 and [(r[0], r[2]) for r in rows] == [("-3", "10"), ("-2", "10")]
+    code, out, _ = run_cli(["scaling", "--sizes", " 16 , 32 ", "--seeds", "1"], capsys)
+    assert code == 0
+    assert [l.split()[1] for l in out.splitlines() if l.startswith("size")] == [
+        "n=16", "n=32"]
 
 
 @pytest.mark.parametrize("args", [

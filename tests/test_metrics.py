@@ -16,12 +16,15 @@ from sleepcolor.graph import (
 )
 from sleepcolor.metrics import (
     CSV_FIELDS,
+    PerNode,
     RunMetrics,
     aggregate,
+    collect,
     nearest_rank,
     validity_verdict,
     write_csv,
 )
+from sleepcolor.simcore import Trace
 
 
 def _metrics(worst=3, avg=Fraction(2), rounds=5, valid="proper_total"):
@@ -130,3 +133,30 @@ def test_average_awake_six_decimals():
     m = _metrics(avg=Fraction(7, 3))
     row = m.csv_row(seed=0, family="path", n=2, param=None, k=1, threshold=8)
     assert row[7] == "2.333333"
+
+
+def test_per_node_is_an_id_keyed_view_of_the_run():
+    g = build_graph([(5, 9), (9, 40), (40, 5), (40, 1000)], [1000, 40, 9, 5, 77])
+    inst = make_default_instance(g)
+    cfg = PipelineConfig(seed=2)
+    trace = Trace()
+    coloring, m = run_pipeline(inst, cfg, trace=trace)
+    view = m.per_node
+    assert isinstance(view, PerNode)
+    assert len(view) == 5
+    assert list(view) == [5, 9, 40, 77, 1000]
+    assert 9 in view and 1000 in view
+    for v in (4, 10, 78, 1001):     # below the first node, between two, above the last
+        assert v not in view
+        with pytest.raises(KeyError):
+            view[v]
+    values, items = view.values(), view.items()
+    assert list(values) == list(values) == [view[v] for v in view]
+    assert list(items) == list(items) == [(v, view[v]) for v in view]
+    assert all(a >= 1 and t >= a and phase in (1, 2, 3) for a, t, phase in values)
+    as_dict = dict(items)
+    assert view == as_dict and as_dict == view
+    assert view != {**as_dict, 5: (0, 0, 0)}
+    rebuilt = collect(trace, coloring, inst, cfg).per_node
+    assert isinstance(rebuilt, PerNode)
+    assert rebuilt == view
