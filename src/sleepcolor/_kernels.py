@@ -222,21 +222,23 @@ def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, neigh
     both in id order; `acts` holds the resolve-round act of every listener
     that neither adopts nor continues.
     """
-    node = trace.node_events
-    msg = trace.msg_events
-    t = resolve - 1 + trace.round_offset
+    t = resolve - 1
     proposing = set(live)
-    node.extend([(t, ids[i], "send" if i in proposing and neighbors[i] else "cont")
-                 for i in listening])
-    for i in live:
-        v = ids[i]
-        msg.extend([(t, v, ids[j], awake[j]) for j in neighbors[i]])
-    t += 1
-    for a in adopters:
-        v = ids[a]
-        msg.extend([(t, v, ids[j], awake[j]) for j in neighbors[a]])
+    listening_ids = [ids[i] for i in listening]
+    trace.nodes(t, listening_ids,
+                ["send" if i in proposing and neighbors[i] else "cont" for i in listening])
+    _trace_sends(trace, t, ids, live, neighbors, awake)
+    _trace_sends(trace, t + 1, ids, adopters, neighbors, awake)
     acts = {**acts, **dict.fromkeys(adopters, "term")}
-    node.extend([(t, ids[i], acts.get(i, "cont")) for i in listening])
+    trace.nodes(t + 1, listening_ids, [acts.get(i, "cont") for i in listening])
+
+
+def _trace_sends(trace, rnd, ids, senders, neighbors, awake) -> None:
+    """Each of `senders` sends to all its neighbors, in order; a message is
+    delivered iff its receiver is `awake`."""
+    trace.messages(rnd, [ids[i] for i in senders for _ in neighbors[i]],
+                   [ids[j] for i in senders for j in neighbors[i]],
+                   [awake[j] for i in senders for j in neighbors[i]])
 
 
 def phase1_trial_counts(

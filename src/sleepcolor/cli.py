@@ -163,8 +163,13 @@ def _run(args, inst, seed, family, param, trace_out):
 def cmd_run(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+    # output files are truncated when opened, before the instance is read
+    same = lambda a, b: a and b and os.path.realpath(a) == os.path.realpath(b)
+    if same(args.out, args.trace):
         raise UsageError("--out and --trace name the same file")
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if same(path, args.instance):
+            raise UsageError(f"{flag} and --instance name the same file")
     with _output(args.trace) as trace_out, _output(args.out) as out:
         rows, _figures, code = _sweep(args, args.family, args.n, args.param, trace_out)
         # written after the last run: the header's width depends on every row

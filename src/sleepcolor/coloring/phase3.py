@@ -389,22 +389,20 @@ def run_phase3(
     cap = prelim + tournament_slot_count(classes)
     ids, nbrs = residual.graph.nodes, residual.graph.neighbors
     n = len(ids)
-    node_ev = msg_ev = None
-    offset = 0
-    if trace is not None:
-        node_ev, msg_ev, offset = trace.node_events, trace.msg_events, trace.round_offset
+    sleep_act = _SleepActs()
 
     def exchange(rnd, acts):
         # an interim round: everyone is awake, so every message is delivered
-        t = rnd + offset
-        node_ev.extend(zip([t] * n, ids, acts))
-        msg_ev.extend([(t, v, ids[j], True) for v, ns in zip(ids, nbrs) for j in ns])
+        trace.nodes(rnd, ids, acts)
+        senders = [v for v, ns in zip(ids, nbrs) for _ in ns]
+        trace.messages(rnd, senders, [ids[j] for ns in nbrs for j in ns],
+                       b"\1" * len(senders))
 
     # interim rounds 1..P: in round r < P each node sends its color, and in
     # round r + 1 it applies reduction step r to the colors it heard
     cls = list(ids) if classes > 1 else [0] * n
     for rnd, (q, d) in enumerate(steps, start=1):
-        if node_ev is not None:
+        if trace is not None:
             exchange(rnd, ["send" if ns else "cont" for ns in nbrs])
         values: dict[tuple[int, int], int] = {}
         cls = [_reduce_color(c, [cls[j] for j in ns], q, d, values, v)
@@ -412,8 +410,8 @@ def run_phase3(
 
     # round P sends the final class and sleeps until the first duty
     kept = _kept_duties(classes, cls, nbrs)
-    if node_ev is not None:
-        exchange(prelim, [f"sleep:{ds[0][0]}" if ds[0][0] else "send" if ns else "cont"
+    if trace is not None:
+        exchange(prelim, [sleep_act[ds[0][0]] if ds[0][0] else "send" if ns else "cont"
                           for ds, ns in zip(kept, nbrs)])
 
     # slot s is round P + 1 + s; the nodes awake in it are those with a duty there
@@ -449,31 +447,32 @@ def run_phase3(
                     raise AlgorithmInvariantViolation(
                         f"node {format_decimal(ids[i])}: no free list color at its leaf round")
                 adopted[i] = free
-        t = rnd + offset
+        acts = []
+        announcers = []
         for i in awake:
             ds, k = kept[i], nxt[i]
             nxt[i] = k + 1
             awake_rounds[i] += 1
             kind = ds[k][1]
-            v = ids[i]
             if kind == ANNOUNCE:
+                announcers.append(i)
                 c = adopted[i]
                 for j in nbrs[i]:
-                    ok = awake_in[j] == s
-                    if ok:
+                    if awake_in[j] == s:
                         heard.setdefault(j, set()).add(c)
-                    if msg_ev is not None:
-                        msg_ev.append((t, v, ids[j], ok))
             if k + 1 == len(ds):
                 term[i] = rnd
                 color[i] = adopted[i]
-                act = "term"
+                acts.append("term")
             else:
                 gap = ds[k + 1][0] - s - 1
-                act = (f"sleep:{gap}" if gap
-                       else "send" if kind == ANNOUNCE and nbrs[i] else "cont")
-            if node_ev is not None:
-                node_ev.append((t, v, act))
+                acts.append(sleep_act[gap] if gap
+                            else "send" if kind == ANNOUNCE and nbrs[i] else "cont")
+        if trace is not None:
+            trace.nodes(rnd, [ids[i] for i in awake], acts)
+            trace.messages(rnd, [ids[i] for i in announcers for _ in nbrs[i]],
+                           [ids[j] for i in announcers for j in nbrs[i]],
+                           [awake_in[j] == s for i in announcers for j in nbrs[i]])
         rounds = rnd
 
     outcome = PhaseOutcome(
@@ -487,6 +486,14 @@ def run_phase3(
             partial=outcome,
         )
     return outcome
+
+
+class _SleepActs(dict):
+    """sleep length -> its trace act, one string per length for the whole run."""
+
+    def __missing__(self, rounds: int) -> str:
+        act = self[rounds] = f"sleep:{rounds}"
+        return act
 
 
 def _kept_duties(classes: int, cls: list[int], nbrs) -> list[list]:

@@ -58,7 +58,10 @@ class PerNode(Mapping):
         self.nodes, self.awake, self.term, self.phase = nodes, awake, term, phase
 
     def __getitem__(self, v):
-        i = bisect_left(self.nodes, v)
+        try:
+            i = bisect_left(self.nodes, v)
+        except TypeError:     # a key that does not compare with ids is not one
+            raise KeyError(v) from None
         if i == len(self.nodes) or self.nodes[i] != v:
             raise KeyError(v)
         return self.awake[i], self.term[i], self.phase[i]
@@ -141,7 +144,8 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
 
     awake = {v: 0 for v in instance.graph.nodes}
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
-    for rnd, v, act in trace.node_events:
+    rounds = trace.node_round
+    for rnd, v, act in zip(rounds, trace.node_id, trace.node_act):
         if v not in awake:
             raise InternalError(f"trace mentions unknown node {format_decimal(v)}")
         awake[v] += 1
@@ -163,7 +167,7 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
         return 3
 
     # one decay entry per phase-1 iteration that ran: the budget may be huge
-    last = max([rnd for rnd, _v, _act in trace.node_events if rnd <= s2], default=0)
+    last = max([rnd for rnd in rounds if rnd <= s2], default=0)
     decay = {i: 0 for i in range(1, last // 2 + 1)}
     for r in term.values():
         if r <= s2:
@@ -171,7 +175,7 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
 
     phase_awake = {1: 0, 2: 0, 3: 0}
     phase_rounds = {1: 0, 2: 0, 3: 0}
-    for rnd, v, _act in trace.node_events:
+    for rnd in rounds:
         p = phase_for(rnd)
         phase_awake[p] += 1
         base = 0 if p == 1 else (s2 if p == 2 else s3)

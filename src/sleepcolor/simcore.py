@@ -27,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
-from operator import itemgetter
+from itertools import islice
+from operator import eq, le
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import ProgramError, RunIncomplete
@@ -75,60 +75,157 @@ class Trace:
     Node lines:    t=<round> v=<id> status=A act=<send|sleep:r|term|cont>
     Message lines: msg t=<round> <u>-><v> delivered=<0|1>
 
+    Events are held as columns: node events in `node_round`, `node_id` and
+    `node_act`; message events in `msg_round`, `msg_sender`, `msg_receiver`
+    and `msg_delivered` (a bytearray of 0/1 flags).  `node_events` and
+    `msg_events` read them back as `(round, id, act)` and
+    `(round, u, v, delivered)` tuples.
+
     The text lists the rounds in ascending order; within a round, its node
     lines come first, then its message lines, each kind in recording order.
-    `chunks()` yields that text piece by piece, one piece per round and kind,
-    so a caller can write it out without holding it whole; `render()` joins
-    the pieces.
+    `chunks()` yields that text piece by piece, at most `_PIECE` lines of
+    one round and kind per piece, so a caller can write it out without
+    holding it whole; `render()` joins the pieces.
     """
 
     def __init__(self, round_offset: int = 0):
         self.round_offset = round_offset
-        self.node_events: list[tuple[int, int, str]] = []    # (round, node, act)
-        self.msg_events: list[tuple[int, int, int, bool]] = []
+        self.node_round: list[int] = []
+        self.node_id: list[int] = []
+        self.node_act: list[str] = []
+        self.msg_round: list[int] = []
+        self.msg_sender: list[int] = []
+        self.msg_receiver: list[int] = []
+        self.msg_delivered = bytearray()
 
     def node(self, rnd: int, v: int, act: str) -> None:
-        self.node_events.append((rnd + self.round_offset, v, act))
+        self.node_round.append(rnd + self.round_offset)
+        self.node_id.append(v)
+        self.node_act.append(act)
 
     def message(self, rnd: int, u: int, v: int, delivered: bool) -> None:
-        self.msg_events.append((rnd + self.round_offset, u, v, delivered))
+        self.msg_round.append(rnd + self.round_offset)
+        self.msg_sender.append(u)
+        self.msg_receiver.append(v)
+        self.msg_delivered.append(delivered)
+
+    def nodes(self, rnd: int, ids: list[int], acts: list[str]) -> None:
+        """One round's node events: ids[k] did acts[k]."""
+        self.node_round.extend([rnd + self.round_offset] * len(ids))
+        self.node_id.extend(ids)
+        self.node_act.extend(acts)
+
+    def messages(self, rnd: int, senders: list[int], receivers: list[int],
+                 delivered) -> None:
+        """One round's message events: senders[k] sent to receivers[k], and
+        it arrived iff delivered[k] (bools, or a bytes-like of 0/1)."""
+        self.msg_round.extend([rnd + self.round_offset] * len(senders))
+        self.msg_sender.extend(senders)
+        self.msg_receiver.extend(receivers)
+        self.msg_delivered.extend(delivered)
+
+    @property
+    def node_events(self) -> EventView:
+        return EventView(self.node_round, self.node_id, self.node_act)
+
+    @property
+    def msg_events(self) -> EventView:
+        return _MessageView(self.msg_round, self.msg_sender, self.msg_receiver,
+                            self.msg_delivered)
 
     def chunks(self) -> Iterator[str]:
         """The text of `render()`: each round's node lines, then its message
-        lines, one string per round and kind.
+        lines, one `%` format per piece of at most `_PIECE` events.
 
-        Each event list is sorted stably by round, which takes linear time
-        on the in-order lists that the engine and the kernels record.
+        The columns are read in place when their rounds ascend, as every
+        recorder writes them; otherwise they are stably sorted by round.
         """
-        nodes = sorted(self.node_events, key=_ROUND)
-        msgs = sorted(self.msg_events, key=_ROUND)
+        nodes = _by_round(self.node_round, self.node_id, self.node_act)
+        msgs = _by_round(self.msg_round, self.msg_sender, self.msg_receiver,
+                         self.msg_delivered)
+        node_rounds, msg_rounds = nodes[0], msgs[0]
         i = j = 0
-        for rnd in sorted({*map(_ROUND, nodes), *map(_ROUND, msgs)}):
-            end = bisect_right(nodes, rnd, i, key=_ROUND)
-            if end > i:
-                yield _lines(_NODE_LINE, nodes[i:end])
-                i = end
-            end = bisect_right(msgs, rnd, j, key=_ROUND)
-            if end > j:
-                yield _lines(_MSG_LINE, msgs[j:end])
-                j = end
+        while i < len(node_rounds) or j < len(msg_rounds):
+            rnd = min(node_rounds[i] if i < len(node_rounds) else msg_rounds[j],
+                      msg_rounds[j] if j < len(msg_rounds) else node_rounds[i])
+            end = bisect_right(node_rounds, rnd, i)
+            for i in range(i, end, _PIECE):
+                yield _lines(_NODE_LINE, nodes, i, min(i + _PIECE, end))
+            i = end
+            end = bisect_right(msg_rounds, rnd, j)
+            for j in range(j, end, _PIECE):
+                yield _lines(_MSG_LINE, msgs, j, min(j + _PIECE, end))
+            j = end
 
     def render(self) -> str:
         return "".join(self.chunks())
 
 
-_ROUND = itemgetter(0)
+class EventView:
+    """A trace's events of one kind as tuples, read lazily from its columns.
+
+    Read-only: `len` is the event count, iteration yields one tuple per
+    event in recording order, and `in` and `==` (against another view, a
+    list or a tuple of event tuples) compare those tuples."""
+
+    __slots__ = ("_columns",)
+    __hash__ = None
+
+    def __init__(self, *columns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, EventView):
+            return self._columns == other._columns
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class _MessageView(EventView):
+    """Message events, with the delivered flag as a bool."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        rounds, senders, receivers, delivered = self._columns
+        return zip(rounds, senders, receivers, map(bool, delivered))
+
+
+_PIECE = 4096          # events per `chunks()` piece: bounds the text in flight
 _NODE_LINE = "t=%d v=%d status=A act=%s\n"
-_MSG_LINE = "msg t=%d %d->%d delivered=%d\n"        # a bool prints as 1 or 0
+_MSG_LINE = "msg t=%d %d->%d delivered=%d\n"        # a flag prints as 1 or 0
 
 
-def _lines(line: str, events: list[tuple]) -> str:
-    """`line` filled in with each event's fields, in one `%` format."""
-    fields = tuple(chain.from_iterable(events))
+def _by_round(rounds: list[int], *rest) -> tuple:
+    """The columns `(rounds, *rest)`, stably sorted by round if they are not
+    in ascending order already."""
+    if all(map(le, rounds, islice(rounds, 1, None))):
+        return (rounds, *rest)
+    order = sorted(range(len(rounds)), key=rounds.__getitem__)
+    return tuple([col[k] for k in order] for col in (rounds, *rest))
+
+
+def _lines(line: str, columns: tuple, start: int, end: int) -> str:
+    """`line` filled in with events start..end-1 of `columns`, in one `%`
+    format."""
+    width = len(columns)
+    fields = [None] * (width * (end - start))
+    for k, col in enumerate(columns):
+        fields[k::width] = col[start:end]
     try:
-        return line * len(events) % fields
+        return line * (end - start) % tuple(fields)
     except ValueError:        # an id past the interpreter's int-to-str digit limit
-        return line.replace("%d", "%s") * len(events) % tuple(
+        return line.replace("%d", "%s") * (end - start) % tuple(
             [f if f.__class__ is str else format_decimal(f) for f in fields])
 
 

@@ -142,6 +142,19 @@ def test_run_out_and_trace_on_one_file_usage_error(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_run_output_on_the_instance_file_usage_error(flag, tmp_path, capsys):
+    # opening the output truncates it, so the instance would be lost unread
+    path = tmp_path / "g.dlc"
+    write_instance(make_default_instance(generate("gnp", 12, 1, 0.3)), str(path))
+    before = path.read_bytes()
+    code, _, err = run_cli(["run", "--instance", str(path),
+                            flag, str(tmp_path / "." / "g.dlc")], capsys)
+    assert code == 1
+    assert err.startswith(f"error: usage: {flag} and --instance name the same file")
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("budget", [["--k1", "0"], ["--k1", "-3"]],
                          ids=["k1=0", "k1=-3"])
 def test_run_unusable_phase1_budget_usage_error(budget, capsys):

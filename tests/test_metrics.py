@@ -160,3 +160,14 @@ def test_per_node_is_an_id_keyed_view_of_the_run():
     rebuilt = collect(trace, coloring, inst, cfg).per_node
     assert isinstance(rebuilt, PerNode)
     assert rebuilt == view
+
+
+def test_per_node_answers_a_key_of_another_type_like_a_dict():
+    view = PerNode((5, 9), [1, 2], [1, 2], b"\1\1")
+    as_dict = dict(view.items())
+    for key in ("a", None, (5,)):
+        assert (key in view) is (key in as_dict) is False
+        assert view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+    assert view.get(9.0) == as_dict.get(9.0) == (2, 2, 1)

@@ -257,8 +257,45 @@ _ids = st.integers(0, 2**70)
 def test_render_equals_the_grouping_reference(node_events, msg_events):
     # rounds out of order, both kinds in one round, and the empty trace
     trace = Trace()
-    trace.node_events.extend(node_events)
-    trace.msg_events.extend(msg_events)
+    for e in node_events:
+        trace.node(*e)
+    for e in msg_events:
+        trace.message(*e)
     text = trace.render()
     assert text == reference_render(trace)
     assert text == "".join(trace.chunks())
+
+
+def test_a_round_past_one_piece_renders_in_pieces():
+    # 2 * 4096 + 5 events of each kind in round 3, then one of each in round 4
+    trace = Trace()
+    big = 2 * 4096 + 5
+    trace.nodes(3, list(range(big)), ["send"] * big)
+    trace.messages(3, list(range(big)), list(range(1, big + 1)), [k % 3 == 0 for k in range(big)])
+    trace.node(4, 7, "term")
+    trace.message(4, 7, 8, False)
+    pieces = list(trace.chunks())
+    assert [p.count("\n") for p in pieces] == [4096, 4096, 5, 4096, 4096, 5, 1, 1]
+    assert "".join(pieces) == reference_render(trace)
+
+
+def test_event_views_read_the_columns():
+    trace = Trace(round_offset=10)
+    trace.node(1, 0, "send")
+    trace.message(1, 0, 2**70, True)
+    trace.nodes(2, [0, 2**70], ["term", "sleep:3"])
+    trace.messages(2, [2**70, 2**70], [0, 5], b"\0\1")
+    nodes, msgs = trace.node_events, trace.msg_events
+    assert len(nodes) == 3 and len(msgs) == 3
+    assert list(nodes) == [(11, 0, "send"), (12, 0, "term"), (12, 2**70, "sleep:3")]
+    assert list(msgs) == [(11, 0, 2**70, True), (12, 2**70, 0, False), (12, 2**70, 5, True)]
+    assert [type(m[3]) for m in msgs] == [bool] * 3
+    assert (12, 2**70, 0, False) in msgs and (12, 2**70, 0, True) not in msgs
+    assert nodes == list(nodes) and nodes == tuple(nodes) and nodes != list(nodes)[:2]
+    assert msgs == trace.msg_events and nodes != msgs
+    again = Trace()
+    for e in nodes:
+        again.node(*e)
+    assert again.node_events == nodes and again.msg_events == [] and not again.msg_events
+    with pytest.raises(AttributeError):
+        trace.node_events = []
