@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from operator import eq, le
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ProgramError, RunIncomplete
 from .graph import Graph, format_decimal
@@ -109,14 +109,14 @@ class Trace:
         self.msg_receiver.append(v)
         self.msg_delivered.append(delivered)
 
-    def nodes(self, rnd: int, ids: list[int], acts: list[str]) -> None:
+    def nodes(self, rnd: int, ids: Sequence[int], acts: Sequence[str]) -> None:
         """One round's node events: ids[k] did acts[k]."""
         self.node_round.extend([rnd + self.round_offset] * len(ids))
         self.node_id.extend(ids)
         self.node_act.extend(acts)
 
-    def messages(self, rnd: int, senders: list[int], receivers: list[int],
-                 delivered) -> None:
+    def messages(self, rnd: int, senders: Sequence[int], receivers: Sequence[int],
+                 delivered: Iterable[int]) -> None:
         """One round's message events: senders[k] sent to receivers[k], and
         it arrived iff delivered[k] (bools, or a bytes-like of 0/1)."""
         self.msg_round.extend([rnd + self.round_offset] * len(senders))
@@ -146,8 +146,7 @@ class Trace:
         node_rounds, msg_rounds = nodes[0], msgs[0]
         i = j = 0
         while i < len(node_rounds) or j < len(msg_rounds):
-            rnd = min(node_rounds[i] if i < len(node_rounds) else msg_rounds[j],
-                      msg_rounds[j] if j < len(msg_rounds) else node_rounds[i])
+            rnd = min(node_rounds[i:i + 1] + msg_rounds[j:j + 1])
             end = bisect_right(node_rounds, rnd, i)
             for i in range(i, end, _PIECE):
                 yield _lines(_NODE_LINE, nodes, i, min(i + _PIECE, end))
