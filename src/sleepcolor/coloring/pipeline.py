@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from ..errors import UsageError
 from ..graph import Coloring, ColoringInstance
@@ -116,24 +115,27 @@ def run_pipeline(
     if trace is not None:
         trace.round_offset = 0
     p1 = run_phase1(instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT), trace=trace)
-    # phase 1's awake and termination lists are the run's own from here on,
-    # and the later phases add to them in place; its color list stays as
+    # the run's awake and termination lists (phase 1's own), its coloring and
+    # the phase each node terminated in start from phase 1's results, and the
+    # later phases write into them in place; phase 1's color list stays as
     # phase 1 left it, so that `p1.colors` keeps naming phase 1's nodes
     awake, term = p1.awake, p1.term
+    coloring = Coloring(dict(zip(nodes, p1.color)))
+    phase_of = bytearray(b"\x01") * n          # run position -> phase terminated in
     phase_awake = {1: sum(awake), 2: 0, 3: 0}
     phase_rounds = {1: p1.rounds_executed, 2: 0, 3: 0}
-    decay = _decay_histogram(term, p1.rounds_executed)
-    later: dict[int, tuple[int, int]] = {}    # run position -> (color, phase) after phase 1
     where = [i for i, c in enumerate(p1.color) if not c]   # run position of each residual node
 
     def fold(outcome, phase: int, offset: int) -> list[int]:
         """Fold a phase run on the residual at run positions `where` into the
         run; returns the run positions of its own residual."""
+        colors = coloring.assignment
         for i, c, a, t in zip(where, outcome.color, outcome.awake, outcome.term):
             awake[i] += a
             if c:
                 term[i] = offset + t
-                later[i] = (c, phase)
+                colors[nodes[i]] = c
+                phase_of[i] = phase
         phase_awake[phase] = sum(outcome.awake)
         phase_rounds[phase] = outcome.rounds_executed
         return [i for i, c in zip(where, outcome.color) if not c]
@@ -163,18 +165,8 @@ def run_pipeline(
         phase3_classes = p3.extra["classes"]
 
     # every node is colored now: phase 3 colors its whole residual or raises
-    coloring = Coloring(dict(zip(nodes, p1.color)))
-    phase_of = bytearray(b"\x01") * n          # run position -> phase terminated in
-    for i, (c, phase) in later.items():
-        coloring.assignment[nodes[i]] = c
-        phase_of[i] = phase
-
     metrics = RunMetrics(
         per_node=PerNode(nodes, awake, term, phase_of),
-        worst_case_awake=max(awake),
-        average_awake=Fraction(sum(awake), n),
-        total_rounds=max(term),
-        decay_histogram=decay,
         validity=validity_verdict(instance, coloring.assignment),
         phase2_incomplete=phase2_incomplete,
         phase_awake=phase_awake,
@@ -182,14 +174,3 @@ def run_pipeline(
         phase3_classes=phase3_classes,
     )
     return coloring, metrics
-
-
-def _decay_histogram(term, rounds: int) -> dict[int, int]:
-    """Iteration -> number of nodes that adopted in it, from phase 1's
-    termination rounds (0 for none), for every phase-1 iteration that ran
-    (phase 1 stops once every node has adopted)."""
-    hist = {i: 0 for i in range(1, rounds // 2 + 1)}
-    for t in term:
-        if t:
-            hist[(t + 1) // 2] += 1
-    return hist

@@ -404,7 +404,8 @@ def write_instance(instance: ColoringInstance, path: str) -> None:
 
 def read_instance(path: str) -> ColoringInstance:
     header = None
-    node_lines: list[tuple[int, tuple[int, ...]]] = []
+    lists: dict[int, tuple[int, ...]] = {}    # id -> color list, as read
+    node_lines = 0                         # a repeated id is counted, then rejected
     ends: list[int] = []                   # edge endpoints, two per edge line
     # a non-ASCII byte decodes to a lone surrogate, so it is caught on its own line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -439,7 +440,8 @@ def read_instance(path: str) -> ColoringInstance:
                     vid, *cols = decimal_ints(parts[1:])
                 except ValueError:
                     raise ParseError("non-integer field in node line", lineno) from None
-                node_lines.append((vid, tuple(cols)))
+                lists[vid] = tuple(cols)
+                node_lines += 1
             elif kind == "edge":
                 if header is None:
                     raise ParseError("edge line before header", lineno)
@@ -454,12 +456,15 @@ def read_instance(path: str) -> ColoringInstance:
     if header is None:
         raise ParseError("missing 'dlc' header (empty file?)", 1)
     n, m = header
-    if len(node_lines) != n:
+    if node_lines != n:
         raise ParseError(f"header declares {format_decimal(n)} nodes but file has "
-                         f"{len(node_lines)}", 1)
+                         f"{node_lines}", 1)
     if len(ends) != 2 * m:
         raise ParseError(f"header declares {format_decimal(m)} edges but file has "
                          f"{len(ends) // 2}", 1)
+    if len(lists) != node_lines:
+        raise InstanceError("duplicate node id")
     it = iter(ends)
-    graph = build_graph(zip(it, it), [vid for vid, _ in node_lines])
-    return make_instance(graph, {vid: cols for vid, cols in node_lines})
+    graph = build_graph(zip(it, it), list(lists))
+    del ends, it                           # the graph holds the edges from here on
+    return make_instance(graph, lists)

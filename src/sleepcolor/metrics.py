@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InternalError, UsageError
-from .graph import UNCOLORED, ColoringInstance, format_decimal
+from .graph import UNCOLORED, Coloring, ColoringInstance, format_decimal
 
 PROPER_TOTAL = "proper_total"
 PROPER_PARTIAL = "proper_partial"
@@ -91,20 +92,39 @@ class _Items(ItemsView):
         return zip(m.nodes, zip(m.awake, m.term, m.phase))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunMetrics:
-    """Per-run complexity measurements and verdicts."""
+    """Per-run complexity measurements and verdicts; the run figures below
+    derive from `per_node` and `phase_rounds[1]`, each on first read."""
 
-    per_node: Mapping[int, tuple[int, int, int]]   # a `PerNode` for every run
-    worst_case_awake: int
-    average_awake: Fraction
-    total_rounds: int
-    decay_histogram: dict[int, int]
+    per_node: PerNode
     validity: str
     phase2_incomplete: bool
-    phase_awake: dict[int, int] = field(default_factory=dict)
-    phase_rounds: dict[int, int] = field(default_factory=dict)
+    phase_awake: dict[int, int]
+    phase_rounds: dict[int, int]
     phase3_classes: int = 0
+
+    @cached_property
+    def worst_case_awake(self) -> int:
+        return max(self.per_node.awake)
+
+    @cached_property
+    def average_awake(self) -> Fraction:
+        return Fraction(sum(self.per_node.awake), len(self.per_node))
+
+    @cached_property
+    def total_rounds(self) -> int:
+        return max(self.per_node.term)
+
+    @cached_property
+    def decay_histogram(self) -> dict[int, int]:
+        """Iteration -> number of nodes that adopted in it, for every phase-1
+        iteration that ran (phase 1 stops once every node has adopted)."""
+        hist = dict.fromkeys(range(1, self.phase_rounds[1] // 2 + 1), 0)
+        for t, phase in zip(self.per_node.term, self.per_node.phase):
+            if phase == 1:
+                hist[(t + 1) // 2] += 1
+        return hist
 
     def csv_row(self, seed: int, family: str, n: int, param, k: int,
                 threshold: int) -> list[str]:
@@ -130,17 +150,16 @@ def _fmt_param(param) -> str:
     return str(param)
 
 
-def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
+def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> RunMetrics:
     """Rebuild run metrics from a trace alone (plus the final coloring).
 
     An independent accounting path: node lines give awake counts and
     termination rounds, the configured phase boundaries attribute rounds to
     phases, and validity comes from re-scanning the coloring against the
-    instance.  Raises InternalError when the trace and coloring disagree or
-    a node never terminated: a run that returned is always complete.
+    instance.  Raises InternalError when a node never terminated or
+    terminated without a color: a run that returned is always complete.
     """
-    n = instance.graph.node_count
-    s2, s3 = config.phase_boundaries(n)
+    s2, s3 = config.phase_boundaries(instance.graph.node_count)
 
     awake = {v: 0 for v in instance.graph.nodes}
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
@@ -154,10 +173,13 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
                 raise InternalError(f"node {format_decimal(v)} terminated twice in trace")
             term[v] = rnd
 
+    assignment = coloring.assignment
     for v, r in term.items():
         if r is None:
             raise InternalError(f"node {format_decimal(v)} never terminated in trace")
-    assignment = coloring.assignment if hasattr(coloring, "assignment") else coloring
+        if not assignment.get(v):
+            raise InternalError(f"node {format_decimal(v)} terminated in trace "
+                                f"but has no color")
 
     def phase_for(rnd: int) -> int:
         if rnd <= s2:
@@ -165,13 +187,6 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
         if rnd <= s3:
             return 2
         return 3
-
-    # one decay entry per phase-1 iteration that ran: the budget may be huge
-    last = max([rnd for rnd in rounds if rnd <= s2], default=0)
-    decay = {i: 0 for i in range(1, last // 2 + 1)}
-    for r in term.values():
-        if r <= s2:
-            decay[(r + 1) // 2] += 1
 
     phase_awake = {1: 0, 2: 0, 3: 0}
     phase_rounds = {1: 0, 2: 0, 3: 0}
@@ -185,10 +200,6 @@ def collect(trace, coloring, instance: ColoringInstance, config) -> RunMetrics:
         # both dicts were filled in node order, so their values are by position
         per_node=PerNode(instance.graph.nodes, list(awake.values()), list(term.values()),
                          bytes(map(phase_for, term.values()))),
-        worst_case_awake=max(awake.values()),
-        average_awake=Fraction(sum(awake.values()), n),
-        total_rounds=max(term.values(), default=0),
-        decay_histogram=decay,
         validity=validity_verdict(instance, assignment),
         phase2_incomplete=False,   # not derivable from the trace; caller's concern
         phase_awake=phase_awake,
@@ -214,7 +225,7 @@ def nearest_rank(sorted_values: Sequence, q: float):
 
 
 def aggregate(runs: Iterable[RunMetrics]) -> dict:
-    """Deterministic summary (mean/max/min/p50/p95) of each metric field."""
+    """Deterministic summary (mean/max/min/p50/p95) of each run figure."""
     runs = list(runs)
     if not runs:
         raise UsageError("aggregate needs at least one run")

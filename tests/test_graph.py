@@ -273,6 +273,20 @@ def test_read_rejects_inadmissible_list(tmp_path):
         read_instance(str(path))
 
 
+def test_read_errors_come_counts_then_duplicate_ids_then_edges(tmp_path):
+    path = tmp_path / "dup.dlc"
+    for text, error, message in (
+            ("dlc 1 3 1\nnode 4 1 2\nnode 4 1 2\nedge 4 9\n", ParseError, "3 nodes"),
+            ("dlc 1 2 0\nnode 4 1 2\nnode 4 1 2\nedge 4 9\n", ParseError, "0 edges"),
+            ("dlc 1 2 1\nnode 4 1 2\nnode 4 1 2\nedge 4 9\n", InstanceError,
+             "duplicate node id"),
+            ("dlc 1 2 1\nnode 4 1 2\nnode 5 1 2\nedge 4 9\n", InstanceError,
+             "unknown node id")):
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            read_instance(str(path))
+
+
 def test_read_empty_file(tmp_path):
     path = tmp_path / "empty.dlc"
     path.write_text("")

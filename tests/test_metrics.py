@@ -27,16 +27,27 @@ from sleepcolor.metrics import (
 from sleepcolor.simcore import Trace
 
 
-def _metrics(worst=3, avg=Fraction(2), rounds=5, valid="proper_total"):
+def _metrics(awake=(3, 1), term=(5, 1), phase=b"\3\1", phase1_rounds=2,
+             valid="proper_total"):
+    """A run's metrics from its per-node lists, on the nodes 0 .. len(awake)-1."""
     return RunMetrics(
-        per_node={0: (worst, rounds, 1)},
-        worst_case_awake=worst,
-        average_awake=avg,
-        total_rounds=rounds,
-        decay_histogram={1: 1},
+        per_node=PerNode(tuple(range(len(awake))), awake, term, phase),
         validity=valid,
         phase2_incomplete=False,
+        phase_awake={1: 1, 2: 0, 3: 3},
+        phase_rounds={1: phase1_rounds, 2: 0, 3: 3},
     )
+
+
+def test_run_figures_are_derived_from_the_per_node_lists():
+    m = _metrics()
+    assert m.worst_case_awake == 3
+    assert m.average_awake == Fraction(2)
+    assert m.total_rounds == 5
+    assert m.decay_histogram == {1: 1}
+    for name in ("worst_case_awake", "average_awake", "total_rounds", "decay_histogram"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
 
 
 def test_validity_verdicts():
@@ -86,7 +97,7 @@ def test_aggregate_single_run_equals_itself():
 
 
 def test_aggregate_two_runs():
-    summary = aggregate([_metrics(worst=3), _metrics(worst=5)])
+    summary = aggregate([_metrics(awake=(3, 1)), _metrics(awake=(5, 1))])
     assert summary["worst_case_awake"]["max"] == 5
     assert summary["worst_case_awake"]["mean"] == 4
 
@@ -116,8 +127,9 @@ def test_csv_schema_and_padding():
 
 
 def test_csv_keeps_decay_columns_past_x12():
-    m = _metrics()
-    m.decay_histogram = {i: 1 for i in range(1, 14)}
+    # 13 phase-1 iterations, one node adopting in each
+    m = _metrics(awake=(1,) * 13, term=tuple(range(1, 27, 2)), phase=b"\1" * 13,
+                 phase1_rounds=26)
     wide = m.csv_row(seed=1, family="gnp", n=8, param=None, k=13, threshold=8)
     assert len(wide) == len(CSV_FIELDS) + 1 and wide[-1] == "1"
     narrow = _metrics().csv_row(seed=2, family="gnp", n=8, param=None, k=3, threshold=8)
@@ -130,7 +142,7 @@ def test_csv_keeps_decay_columns_past_x12():
 
 
 def test_average_awake_six_decimals():
-    m = _metrics(avg=Fraction(7, 3))
+    m = _metrics(awake=(3, 3, 1), term=(5, 5, 1), phase=b"\3\3\1")
     row = m.csv_row(seed=0, family="path", n=2, param=None, k=1, threshold=8)
     assert row[7] == "2.333333"
 

@@ -57,6 +57,22 @@ for workload in ("gnp_sweep", "residual_traced"):
 """
 
 
+# Runs mc_oracle's first catalog operation and its 64-node kernel operation,
+# checked as the benchmark checks them; prints each one's name, error and
+# problems as one JSON line.
+_MC_ORACLE_PROBE = """
+import json
+from run import run_op
+from workloads import build, load_program
+
+prog = load_program({src!r})
+ops, _ = build("mc_oracle", prog, 1, {tmp!r})
+for op in (ops[0], *[op for op in ops if op.name == "bench_gnp64"]):
+    rec = run_op(prog, op, None)
+    print(json.dumps([rec["name"], rec["error"], rec["problems"]]))
+"""
+
+
 def _probe(code: str, **fields) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code.format(src=SRC, **fields)],
@@ -89,3 +105,15 @@ def test_span_run_counts_layers_on_the_package(tmp_path):
         assert layer["coloring.phase1_colored"] > 0, name
         assert layer["coloring.phase3_classes"] >= 1, name
         assert layer["metrics.collect_errors"] == 0, name
+
+
+def test_mc_oracle_operations_run_on_the_package(tmp_path):
+    # the checker replays phase 1 on the engine and reads the kernel's trial
+    # counts and the exact oracle; a rename there fails here, not only in a
+    # benchmark run
+    out = _probe(_MC_ORACLE_PROBE, tmp=str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    recs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(recs) == 2 and recs[1][0] == "bench_gnp64"
+    for name, error, problems in recs:
+        assert error is None and problems == [], name
