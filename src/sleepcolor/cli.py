@@ -61,10 +61,8 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--family", choices=FAMILIES, help="graph family to generate")
-        p.add_argument("--n", type=integer, help="number of nodes")
         p.add_argument("--param", type=float,
                        help="family parameter (gnp probability, regular degree)")
-        p.add_argument("--instance", help="read the instance from a .dlc file instead")
         p.add_argument("--seeds", type=integer, default=1, help="number of seeds to run")
         p.add_argument("--seed-base", type=integer, default=0,
                        help="first seed; seeds are base..base+k-1")
@@ -74,6 +72,8 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run the pipeline over a seed sweep")
     add_common(p_run)
+    p_run.add_argument("--n", type=integer, help="number of nodes")
+    p_run.add_argument("--instance", help="read the instance from a .dlc file instead")
     p_run.add_argument("--out", help="CSV output path (default: stdout)")
     p_run.add_argument("--trace", help="write the per-run traces to this path")
 
@@ -118,19 +118,19 @@ class _Figures(NamedTuple):
     validity: str
 
 
-def _sweep(args, family, n, param, trace_out=None):
+def _sweep(args, family, n, param, instance=None, trace_out=None):
     """Run the seed sweep, returning (csv rows, run figures, exit code).
 
-    An `--instance` file is read once and run with every seed; otherwise
+    An `instance` file is read once and run with every seed; otherwise
     each seed generates its own graph.  With `trace_out`, each run's trace
     goes there as soon as the run ends, under a `# run seed=S` line.  Only
     the rows and figures outlive a run: its instance, coloring, metrics and
     trace are released before the next seed generates its graph.
     """
-    if args.instance:
-        family, param, inst = "file", None, _read(args.instance)
+    if instance:
+        family, param, inst = "file", None, _read(instance)
         instance_for = lambda seed: inst
-    elif not family or not n:
+    elif not family or n is None:
         raise UsageError("need --family and --n (or --instance)")
     else:
         instance_for = lambda seed: make_default_instance(generate(family, n, seed, param))
@@ -171,7 +171,8 @@ def cmd_run(args) -> int:
         if same(path, args.instance):
             raise UsageError(f"{flag} and --instance name the same file")
     with _output(args.trace) as trace_out, _output(args.out) as out:
-        rows, _figures, code = _sweep(args, args.family, args.n, args.param, trace_out)
+        rows, _figures, code = _sweep(args, args.family, args.n, args.param, args.instance,
+                                     trace_out)
         # written after the last run: the header's width depends on every row
         write_csv(out or sys.stdout, rows, _config_from_args(args, args.seed_base).kv_block())
     return code
@@ -206,8 +207,6 @@ def cmd_scaling(args) -> int:
         raise UsageError(f"--sizes must all be >= 1, got {min(sizes)}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
-    if args.instance:
-        raise UsageError("scaling needs generated families, not --instance")
 
     all_rows = []
     xs, worst_max, avg_mean = [], [], []
@@ -265,6 +264,18 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+# (error type, the kind that `main` prints, exit code), first match wins
+_ERRORS = (
+    (UsageError, "usage", 1),
+    (ParseError, "parse", 1),
+    (InstanceError, "instance", 1),
+    (TooLargeForOracle, "oracle", 1),
+    (RunIncomplete, "incomplete", 2),
+    (OSError, "io", 1),
+    (SleepColorError, "internal", 1),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -276,28 +287,13 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 1
-    except InstanceError as exc:
-        print(f"error: instance: {exc}", file=sys.stderr)
-        return 1
-    except TooLargeForOracle as exc:
-        print(f"error: oracle: {exc}", file=sys.stderr)
-        return 1
-    except RunIncomplete as exc:
-        print(f"error: incomplete: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # an output path that cannot be written; input files are read by `_read`
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 1
-    except SleepColorError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 1
+    except (SleepColorError, OSError) as exc:
+        # an OSError is an output path that cannot be written; input files
+        # are read by `_read`
+        kind, code = next((kind, code) for cls, kind, code in _ERRORS
+                          if isinstance(exc, cls))
+        print(f"error: {kind}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -325,23 +325,6 @@ _PIECE_DIGITS = 512
 _PIECE_BITS = 1700                 # 2**1700 < 10**512
 
 
-def parse_decimal(text: str) -> int:
-    """`int(text)` for a decimal numeral of any length.
-
-    Numerals of up to `_PIECE_DIGITS` characters go to `int` as they are;
-    a longer one must be an optional sign and ASCII digits, and is converted
-    by halves, so the interpreter's integer string-conversion limit never
-    applies.  Raises ValueError for anything else.
-    """
-    if len(text) <= _PIECE_DIGITS:
-        return int(text)
-    digits = text[1:] if text[0] in "+-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text[:20]}...")
-    value = _parse_digits(digits)
-    return -value if text[0] == "-" else value
-
-
 def _parse_digits(digits: str) -> int:
     if len(digits) <= _PIECE_DIGITS:
         return int(digits)
@@ -373,7 +356,9 @@ def decimal_ints(fields: Sequence[str]) -> tuple[int, ...]:
     `int` would also take "+", "_", blanks and non-ASCII digits, so the
     fields are screened first: once every "-" is removed, only ASCII digits
     may remain, and `int` refuses a "-" anywhere but first.  Past the
-    interpreter's digit limit the fields convert by halves.
+    interpreter's digit limit the fields convert by halves; a "-" past the
+    first character is refused there first, since `int` would take it at
+    the start of a half.
     """
     digits = "".join(fields).replace("-", "")
     if not (digits.isascii() and digits.isdigit()):
@@ -381,7 +366,10 @@ def decimal_ints(fields: Sequence[str]) -> tuple[int, ...]:
     try:
         return tuple(map(int, fields))
     except ValueError:
-        return tuple(map(parse_decimal, fields))
+        if any("-" in f[1:] for f in fields):
+            raise
+        return tuple([-_parse_digits(f[1:]) if f.startswith("-") else _parse_digits(f)
+                      for f in fields])
 
 
 def _line(kind: str, values) -> str:
@@ -400,6 +388,14 @@ def write_instance(instance: ColoringInstance, path: str) -> None:
             fh.write(_line("node", (v, *instance.lists[v])))
         for edge in g.edges():
             fh.write(_line("edge", edge))
+
+
+def _ints(fields: Sequence[str], message: str, lineno: int) -> tuple[int, ...]:
+    """`decimal_ints(fields)`, with a field it refuses as a ParseError."""
+    try:
+        return decimal_ints(fields)
+    except ValueError:
+        raise ParseError(message, lineno) from None
 
 
 def read_instance(path: str) -> ColoringInstance:
@@ -423,10 +419,7 @@ def read_instance(path: str) -> ColoringInstance:
                     raise ParseError("duplicate header", lineno)
                 if len(parts) != 4:
                     raise ParseError("header must be 'dlc 1 <n> <m>'", lineno)
-                try:
-                    version, n, m = decimal_ints(parts[1:])
-                except ValueError:
-                    raise ParseError("non-integer header field", lineno) from None
+                version, n, m = _ints(parts[1:], "non-integer header field", lineno)
                 if version != 1:
                     raise ParseError(
                         f"unsupported format version {format_decimal(version)}", lineno)
@@ -436,10 +429,7 @@ def read_instance(path: str) -> ColoringInstance:
                     raise ParseError("node line before header", lineno)
                 if len(parts) < 3:
                     raise ParseError("node line needs an id and at least one color", lineno)
-                try:
-                    vid, *cols = decimal_ints(parts[1:])
-                except ValueError:
-                    raise ParseError("non-integer field in node line", lineno) from None
+                vid, *cols = _ints(parts[1:], "non-integer field in node line", lineno)
                 lists[vid] = tuple(cols)
                 node_lines += 1
             elif kind == "edge":
@@ -447,10 +437,7 @@ def read_instance(path: str) -> ColoringInstance:
                     raise ParseError("edge line before header", lineno)
                 if len(parts) != 3:
                     raise ParseError("edge line must be 'edge <u> <v>'", lineno)
-                try:
-                    ends += decimal_ints(parts[1:])
-                except ValueError:
-                    raise ParseError("non-integer field in edge line", lineno) from None
+                ends += _ints(parts[1:], "non-integer field in edge line", lineno)
             else:
                 raise ParseError(f"unknown record {kind!r}", lineno)
     if header is None:

@@ -98,17 +98,6 @@ class Trace:
         self.msg_receiver: list[int] = []
         self.msg_delivered = bytearray()
 
-    def node(self, rnd: int, v: int, act: str) -> None:
-        self.node_round.append(rnd + self.round_offset)
-        self.node_id.append(v)
-        self.node_act.append(act)
-
-    def message(self, rnd: int, u: int, v: int, delivered: bool) -> None:
-        self.msg_round.append(rnd + self.round_offset)
-        self.msg_sender.append(u)
-        self.msg_receiver.append(v)
-        self.msg_delivered.append(delivered)
-
     def nodes(self, rnd: int, ids: Sequence[int], acts: Sequence[str]) -> None:
         """One round's node events: ids[k] did acts[k]."""
         self.node_round.extend([rnd + self.round_offset] * len(ids))
@@ -168,7 +157,6 @@ class EventView:
     list or a tuple of event tuples) compare those tuples."""
 
     __slots__ = ("_columns",)
-    __hash__ = None
 
     def __init__(self, *columns):
         self._columns = columns
@@ -316,7 +304,9 @@ def run_simulation(
             actions[v] = program.on_round(ctx, inbox)
 
         # route round-t messages against the round-t awake set
-        for v in sorted(actions):
+        order = sorted(actions)
+        senders, receivers, delivered = [], [], []
+        for v in order:
             act = actions[v]
             if not act.sends:
                 continue
@@ -328,10 +318,12 @@ def run_simulation(
                 ok = u in awake
                 if ok:
                     buffers[u].append(act.sends[u])
-                if trace is not None:
-                    trace.message(rnd, v, u, ok)
+                senders.append(v)
+                receivers.append(u)
+                delivered.append(ok)
 
-        for v in sorted(actions):
+        acts = []
+        for v in order:
             act = actions[v]
             if act.terminate:
                 awake.discard(v)
@@ -345,8 +337,10 @@ def run_simulation(
                 tok = f"sleep:{act.sleep_rounds}"
             else:
                 tok = "send" if act.sends else "cont"
-            if trace is not None:
-                trace.node(rnd, v, tok)
+            acts.append(tok)
+        if trace is not None:
+            trace.messages(rnd, senders, receivers, delivered)
+            trace.nodes(rnd, order, acts)
 
     result = SimulationResult(
         outputs=outputs,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -130,6 +131,31 @@ def test_run_missing_family_usage_error(capsys):
     code, _, err = run_cli(["run", "--n", "10"], capsys)
     assert code == 1
     assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_run_n_below_one_is_an_instance_error(n, capsys):
+    code, out, err = run_cli(["run", "--family", "path", "--n", n], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: instance: n must be >= 1\n"
+
+
+def test_parser_options_per_subcommand(capsys):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in subparsers.choices.items()}
+    common = ["--family", "--k1", "--param", "--phase2-threshold", "--seed-base", "--seeds"]
+    assert options == {
+        "run": sorted(common + ["--n", "--instance", "--out", "--trace"]),
+        "scaling": sorted(common + ["--sizes", "--out"]),
+        "oracle": ["--instance"],
+    }
+    # scaling sweeps its own sizes on generated graphs
+    for extra in (["--n", "5"], ["--instance", "f.dlc"]):
+        code, out, err = run_cli(["scaling", "--sizes", "8,16", *extra], capsys)
+        assert code == 1 and out == "" and err.startswith("error: usage:")
 
 
 def test_run_out_and_trace_on_one_file_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -10,11 +11,11 @@ from sleepcolor.graph import (
     _GNP_BATCH,
     _gnp_edges,
     build_graph,
+    decimal_ints,
     format_decimal,
     generate,
     make_default_instance,
     make_instance,
-    parse_decimal,
     read_instance,
     write_instance,
 )
@@ -313,8 +314,11 @@ _NUMERAL_LINES = {
 }
 
 
-@pytest.mark.parametrize("numeral", ["1_0", "+3", "+" + HUGE_ID_DIGITS[0]],
-                         ids=["underscore", "plus", "plus-past-the-digit-limit"])
+@pytest.mark.parametrize("numeral", [
+    "1_0", "+3", "+" + HUGE_ID_DIGITS[0],
+    # the "-" begins the lower half that the conversion by halves splits off
+    HUGE_ID_DIGITS[0][:2201] + "-" + HUGE_ID_DIGITS[0][2201:],
+], ids=["underscore", "plus", "plus-past-the-digit-limit", "minus-inside-past-the-digit-limit"])
 @pytest.mark.parametrize("kind", sorted(_NUMERAL_LINES))
 def test_read_numerals_are_minus_and_digits_only(tmp_path, kind, numeral):
     text, line, message = _NUMERAL_LINES[kind]
@@ -387,10 +391,17 @@ def test_read_non_ascii_byte_reports_its_own_line(tmp_path):
 @pytest.mark.parametrize("digits", [512, 513, 1100, 4300])
 def test_decimal_conversion_by_halves_equals_str(digits):
     # within the interpreter's limit, so str() and int() are the reference;
-    # powers of ten leave runs of zeros in the lower halves
+    # the conversions run under the lowest limit it accepts, so a numeral of
+    # over 640 digits is read by halves; powers of ten leave runs of zeros in
+    # the lower halves
     top = 10**digits
-    for x in (top // 10, top - 1, top // 7, top // 10 + 1, 3 * top // 10 + 10**(digits // 2)):
-        text = str(x)
-        assert format_decimal(x) == text and format_decimal(-x) == "-" + text
-        assert parse_decimal(text) == x and parse_decimal("-" + text) == -x
-        assert parse_decimal("+" + text) == x
+    xs = (top // 10, top - 1, top // 7, top // 10 + 1, 3 * top // 10 + 10**(digits // 2))
+    texts = [str(x) for x in xs]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for x, text in zip(xs, texts):
+            assert format_decimal(x) == text and format_decimal(-x) == "-" + text
+            assert decimal_ints((text, "-" + text)) == (x, -x)
+    finally:
+        sys.set_int_max_str_digits(limit)

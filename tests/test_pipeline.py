@@ -199,9 +199,9 @@ def _without_term_of_node_0(trace):
     kept = Trace()
     for e in trace.node_events:
         if not (e[1] == 0 and e[2] == "term"):
-            kept.node(*e)
+            kept.nodes(e[0], [e[1]], [e[2]])
     for e in trace.msg_events:
-        kept.message(*e)
+        kept.messages(e[0], [e[1]], [e[2]], [e[3]])
     return kept
 
 
@@ -315,7 +315,7 @@ def _emptied():
 def _collect(events, colors=((_A, 1),)):
     trace = Trace()
     for e in events:
-        trace.node(*e)
+        trace.nodes(e[0], [e[1]], [e[2]])
     inst = make_default_instance(build_graph([], [_A]))
     collect(trace, Coloring(dict(colors)), inst, PipelineConfig())
 

@@ -125,6 +125,19 @@ def test_send_to_non_neighbor_raises():
         run_simulation(g, Bad(), None, seed=1, round_cap=5)
 
 
+def test_a_round_that_raises_records_no_event():
+    # round 2: node 0 sends to 1, which is routed first, then the isolated
+    # node 2 sends to 0; the trace keeps round 1 and nothing of round 2
+    g = build_graph([(0, 1)], [0, 1, 2])
+    scripts = {0: [Action(), Action(sends={1: "x"})], 1: [Action()],
+               2: [Action(), Action(sends={0: "y"})]}
+    trace = Trace()
+    with pytest.raises(ProgramError, match="node 2 sent to non-neighbor 0"):
+        run_simulation(g, Scripted(scripts), None, seed=1, round_cap=5, trace=trace)
+    assert trace.node_events == [(1, 0, "cont"), (1, 1, "cont"), (1, 2, "cont")]
+    assert trace.msg_events == []
+
+
 def test_round_cap_raises_run_incomplete_with_partial():
     g = build_graph([], [0])
 
@@ -231,11 +244,11 @@ def test_no_causality_leak_from_undelivered_messages():
 
 def test_render_text_is_pinned():
     trace = Trace(round_offset=10)
-    trace.message(2, 1, 0, False)
-    trace.node(2, 1, "send")
-    trace.node(1, 0, "sleep:1")
-    trace.message(1, 0, 1, True)
-    trace.node(2, 0, "term")
+    trace.messages(2, [1], [0], [False])
+    trace.nodes(2, [1], ["send"])
+    trace.nodes(1, [0], ["sleep:1"])
+    trace.messages(1, [0], [1], [True])
+    trace.nodes(2, [0], ["term"])
     assert trace.render() == (
         "t=11 v=0 status=A act=sleep:1\n"
         "msg t=11 0->1 delivered=1\n"
@@ -258,9 +271,9 @@ def test_render_equals_the_grouping_reference(node_events, msg_events):
     # rounds out of order, both kinds in one round, and the empty trace
     trace = Trace()
     for e in node_events:
-        trace.node(*e)
+        trace.nodes(e[0], [e[1]], [e[2]])
     for e in msg_events:
-        trace.message(*e)
+        trace.messages(e[0], [e[1]], [e[2]], [e[3]])
     text = trace.render()
     assert text == reference_render(trace)
     assert text == "".join(trace.chunks())
@@ -272,8 +285,8 @@ def test_a_round_past_one_piece_renders_in_pieces():
     big = 2 * 4096 + 5
     trace.nodes(3, list(range(big)), ["send"] * big)
     trace.messages(3, list(range(big)), list(range(1, big + 1)), [k % 3 == 0 for k in range(big)])
-    trace.node(4, 7, "term")
-    trace.message(4, 7, 8, False)
+    trace.nodes(4, [7], ["term"])
+    trace.messages(4, [7], [8], [False])
     pieces = list(trace.chunks())
     assert [p.count("\n") for p in pieces] == [4096, 4096, 5, 4096, 4096, 5, 1, 1]
     assert "".join(pieces) == reference_render(trace)
@@ -281,8 +294,8 @@ def test_a_round_past_one_piece_renders_in_pieces():
 
 def test_event_views_read_the_columns():
     trace = Trace(round_offset=10)
-    trace.node(1, 0, "send")
-    trace.message(1, 0, 2**70, True)
+    trace.nodes(1, [0], ["send"])
+    trace.messages(1, [0], [2**70], [True])
     trace.nodes(2, [0, 2**70], ["term", "sleep:3"])
     trace.messages(2, [2**70, 2**70], [0, 5], b"\0\1")
     nodes, msgs = trace.node_events, trace.msg_events
@@ -295,7 +308,7 @@ def test_event_views_read_the_columns():
     assert msgs == trace.msg_events and nodes != msgs
     again = Trace()
     for e in nodes:
-        again.node(*e)
+        again.nodes(e[0], [e[1]], [e[2]])
     assert again.node_events == nodes and again.msg_events == [] and not again.msg_events
     with pytest.raises(AttributeError):
         trace.node_events = []
