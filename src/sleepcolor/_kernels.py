@@ -37,12 +37,12 @@ RING2 = "ring2"
 def instance_arrays(instance: ColoringInstance):
     """Lay an instance out over node positions (the index in sorted ids).
 
-    Returns (ids, neighbors, lists): node position i has id ids[i],
-    neighbor positions neighbors[i] (the graph's own layout) and color
-    list lists[i], the instance's own tuple.
+    Returns (ids, offsets, flat, lists): node position i has id ids[i],
+    neighbor positions flat[offsets[i]:offsets[i+1]] (the graph's own
+    arrays) and color list lists[i], the instance's own tuple.
     """
     g = instance.graph
-    return list(g.nodes), g.neighbors, [instance.lists[v] for v in g.nodes]
+    return list(g.nodes), g.offsets, g.flat, list(instance.list_at)
 
 
 def out_of_colors(v: int, where: str = "(inadmissible instance?)"
@@ -93,14 +93,15 @@ def _prune(lists, j: int, c: int) -> list[int]:
     return rem
 
 
-def propose_resolve(live, coins, words, lists, neighbors, proposal) -> list[int]:
+def propose_resolve(live, coins, words, lists, offsets, flat, proposal) -> list[int]:
     """One phase-1 iteration over the live node positions, in `live` order.
 
     The k-th live node i has drawn the coin coins[k] (the top bit of its
     first word) and the index word words[k], which is taken even when the
     coin says 0, as in `Phase1Program`.  It proposes 0 on a set coin, else
     lists[i][words[k] % len(lists[i])].  Returns the positions whose proposal
-    is nonzero and equals no neighbor's; `proposal[j]` must be 0 for every
+    is nonzero and equals no neighbor's, the neighbors of i being
+    flat[offsets[i]:offsets[i+1]]; `proposal[j]` must be 0 for every
     neighbor j that is not live, so only live neighbors can clash.
     """
     for i, zero, w in zip(live, coins, words):
@@ -113,7 +114,7 @@ def propose_resolve(live, coins, words, lists, neighbors, proposal) -> list[int]
     for i in live:
         p = proposal[i]
         if p != 0:
-            for j in neighbors[i]:
+            for j in flat[offsets[i]:offsets[i + 1]]:
                 if proposal[j] == p:
                     break
             else:
@@ -151,7 +152,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    ids, neighbors, lists = instance_arrays(instance)
+    ids, off, flat, lists = instance_arrays(instance)
     n = len(ids)
     last = 2 * iterations
     region = list(compress(range(n), roles))
@@ -173,7 +174,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
                     raise out_of_colors(ids[i], where)
             emptied = False  # the emptied lists belong to nodes that never propose again
         coins, words = _live_draws(state, live, rnd + 1)
-        adopters = propose_resolve(live, coins, words, lists, neighbors, proposal)
+        adopters = propose_resolve(live, coins, words, lists, off, flat, proposal)
         rnd += 2
         dropped = []
         if len(live) < len(listening):   # only a listener that did not propose can drop
@@ -181,13 +182,13 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
                 heard = [0] * n
             for i in live:
                 heard[i] = rnd
-                for j in neighbors[i]:
+                for j in flat[off[i]:off[i + 1]]:
                     heard[j] = rnd
             dropped = [i for i in listening if heard[i] != rnd]
         if trace is not None:
             act = f"sleep:{last - rnd}" if rnd < last else "cont"
             _trace_iteration(trace, rnd, ids, listening, live, adopters,
-                             dict.fromkeys(dropped, act), neighbors, awake)
+                             dict.fromkeys(dropped, act), off, flat, awake)
         for a in adopters:
             awake[a] = False
             stop[a] = rnd
@@ -195,7 +196,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
         for a in adopters:
             c = proposal[a]
             proposal[a] = 0
-            for j in neighbors[a]:
+            for j in flat[off[a]:off[a + 1]]:
                 if awake[j] and c in lists[j] and not _prune(lists, j, c):
                     emptied = True
         for i in dropped:
@@ -203,7 +204,8 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
             stop[i] = rnd
         if adopters:
             live = [i for i in live if awake[i] and (
-                roles[i] is RING1 or sum([awake[j] for j in neighbors[i]]) >= threshold)]
+                roles[i] is RING1
+                or sum([awake[j] for j in flat[off[i]:off[i + 1]]]) >= threshold)]
             for i in core:
                 proposal[i] = 0  # so that only next iteration's proposers can clash
         if adopters or dropped:   # the listeners are the proposers if as many
@@ -214,7 +216,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     return color, stop, rnd, lists
 
 
-def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, neighbors,
+def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, off, flat,
                      awake) -> None:
     """Record one iteration's propose round and resolve round.
 
@@ -226,19 +228,22 @@ def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, neigh
     proposing = set(live)
     listening_ids = [ids[i] for i in listening]
     trace.nodes(t, listening_ids,
-                ["send" if i in proposing and neighbors[i] else "cont" for i in listening])
-    _trace_sends(trace, t, ids, live, neighbors, awake)
-    _trace_sends(trace, t + 1, ids, adopters, neighbors, awake)
+                ["send" if i in proposing and off[i] < off[i + 1] else "cont"
+                 for i in listening])
+    _trace_sends(trace, t, ids, live, off, flat, awake)
+    _trace_sends(trace, t + 1, ids, adopters, off, flat, awake)
     acts = {**acts, **dict.fromkeys(adopters, "term")}
     trace.nodes(t + 1, listening_ids, [acts.get(i, "cont") for i in listening])
 
 
-def _trace_sends(trace, rnd, ids, senders, neighbors, awake) -> None:
+def _trace_sends(trace, rnd, ids, senders, off, flat, awake) -> None:
     """Each of `senders` sends to all its neighbors, in order; a message is
     delivered iff its receiver is `awake`."""
-    trace.messages(rnd, [ids[i] for i in senders for _ in neighbors[i]],
-                   [ids[j] for i in senders for j in neighbors[i]],
-                   [awake[j] for i in senders for j in neighbors[i]])
+    receivers = array("i")
+    for i in senders:
+        receivers += flat[off[i]:off[i + 1]]
+    trace.messages(rnd, [ids[i] for i in senders for _ in range(off[i + 1] - off[i])],
+                   [ids[j] for j in receivers], [awake[j] for j in receivers])
 
 
 def phase1_trial_counts(
@@ -258,14 +263,18 @@ def phase1_trial_counts(
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    ids, neighbors, lists = instance_arrays(instance)
+    ids, off, flat, lists = instance_arrays(instance)
     for v, lst in zip(ids, lists):
         if not lst:
             raise out_of_colors(v)
     n = len(ids)
     per = max(1, _CHUNK // n)            # whole trials per chunk of lanes
-    copies = neighbors if per == 1 else [
-        tuple(t * n + j for j in ns) for t in range(per) for ns in neighbors]
+    if per > 1:
+        # copy t's rows follow copy t - 1's, as a list of offsets and a tuple
+        # of rows: for rows this short, their slices read faster than arrays'
+        m = len(flat)
+        off = [t * m + o for t in range(per) for o in off[:-1]] + [per * m]
+        flat = tuple([t * n + j for t in range(per) for j in flat])
     lists = lists * per
     proposal = [0] * (per * n)
     counts = [0] * (per * n)
@@ -275,6 +284,6 @@ def phase1_trial_counts(
         if len(seeds) < per:
             lanes = Lanes(len(seeds) * n)
         coins, words = _draws(lanes, lanes.stream_states(seeds, ids), 1)
-        for i in propose_resolve(range(lanes.k), coins, words, lists, copies, proposal):
+        for i in propose_resolve(range(lanes.k), coins, words, lists, off, flat, proposal):
             counts[i] += 1
     return {v: sum(counts[i::n]) for i, v in enumerate(ids)}

@@ -152,7 +152,7 @@ def _run(args, inst, seed, family, param, trace_out):
     trace = None if trace_out is None else Trace()
     _, metrics = run_pipeline(inst, config, trace=trace)
     if trace is not None:
-        trace_out.write(f"# run seed={seed}\n")
+        trace_out.write(f"# run seed={format_decimal(seed)}\n")
         trace_out.writelines(trace.chunks())
     row = metrics.csv_row(seed, family, size, param,
                           resolved.k1, resolved.phase2_degree_threshold)
@@ -204,7 +204,7 @@ def cmd_scaling(args) -> int:
     except ValueError:
         raise UsageError(f"bad --sizes list: {args.sizes!r}") from None
     if min(sizes) < 1:
-        raise UsageError(f"--sizes must all be >= 1, got {min(sizes)}")
+        raise UsageError(f"--sizes must all be >= 1, got {format_decimal(min(sizes))}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
 
@@ -227,7 +227,7 @@ def cmd_scaling(args) -> int:
             worst_max.append(summary["worst_case_awake"]["max"])
             avg_mean.append(summary["average_awake"]["mean"])
             print(
-                f"size n={n} runs={summary['runs']} "
+                f"size n={format_decimal(n)} runs={summary['runs']} "
                 f"worst_awake_max={summary['worst_case_awake']['max']:.0f} "
                 f"worst_awake_p95={summary['worst_case_awake']['p95']:.0f} "
                 f"avg_awake_mean={summary['average_awake']['mean']:.4f} "

@@ -20,10 +20,9 @@ reference the kernel must match bit for bit, trace included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .. import _kernels
-from ..graph import ColoringInstance
+from ..graph import ColorView, ColoringInstance
 from ..simcore import Action, Trace, run_simulation
 
 PROPOSE = "propose"
@@ -89,8 +88,8 @@ class PhaseOutcome:
     """What one pipeline phase produced, in phase-local round numbering.
 
     The figures are lists over the node positions of the instance the phase
-    ran on: position i is node nodes[i].  `colors`, the one id-keyed view,
-    is derived on first read; the benchmark's layer counter reads it.
+    ran on: position i is node nodes[i].  `colors` is the read-only id-keyed
+    view of `color`; the benchmark's layer counter reads it.
     """
 
     nodes: tuple[int, ...]                     # the instance's ids, sorted
@@ -101,10 +100,10 @@ class PhaseOutcome:
     rounds_executed: int
     extra: dict = field(default_factory=dict)
 
-    @cached_property
-    def colors(self) -> dict[int, int]:
+    @property
+    def colors(self) -> ColorView:
         """id -> color, for the nodes colored in this phase."""
-        return {v: c for v, c in zip(self.nodes, self.color) if c}
+        return ColorView(self.nodes, self.color)
 
 
 def run_phase1(
@@ -164,7 +163,7 @@ def _engine_run(instance: ColoringInstance, result) -> PhaseOutcome:
     survivors = survivor_lists(result)
     nodes = instance.graph.nodes
     color = [out.get(v, 0) for v in nodes]
-    lists = [survivors.get(v, instance.lists[v]) for v in nodes]
+    lists = [survivors.get(v, lst) for v, lst in zip(nodes, instance.list_at)]
     return PhaseOutcome(nodes, color, [awake.get(v, 0) for v in nodes],
                         [term.get(v) or 0 for v in nodes],
                         _residual(instance, color, lists), result.rounds_executed)
@@ -181,5 +180,4 @@ def _residual(instance: ColoringInstance, color, lists) -> ColoringInstance | No
     keep = [i for i, c in enumerate(color) if not c]
     if not keep:
         return None
-    graph = instance.graph.induced(keep)
-    return ColoringInstance(graph, {v: tuple(lists[i]) for v, i in zip(graph.nodes, keep)})
+    return ColoringInstance(instance.graph.induced(keep), [tuple(lists[i]) for i in keep])

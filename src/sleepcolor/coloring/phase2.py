@@ -135,8 +135,8 @@ def simulate_phase2(
         result = run_simulation(
             region,
             Phase2Program(threshold, iteration_cap),
-            inputs={v: (residual.lists[v], roles[i], len(ns))
-                    for v, i, ns in zip(region.nodes, keep, region.neighbors)},
+            inputs={v: (residual.list_at[i], roles[i], d)
+                    for v, i, d in zip(region.nodes, keep, region.degrees())},
             seed=seed,
             round_cap=2 * iteration_cap,
             trace=trace,
@@ -154,21 +154,22 @@ def _degree_reduction(residual: ColoringInstance, threshold: int, iteration_cap:
     `run(roles)` gets each position's role (None outside the region) and
     returns the run's `PhaseOutcome` over the residual's node positions.
     """
-    nbrs = residual.graph.neighbors
-    roles = [CORE if len(ns) >= threshold else None for ns in nbrs]
+    g = residual.graph
+    off, flat = g.offsets, g.flat
+    roles = [CORE if d >= threshold else None for d in g.degrees()]
     core = [i for i, r in enumerate(roles) if r]
     if not core or iteration_cap < 1:
-        n = len(nbrs)
-        return PhaseOutcome(residual.graph.nodes, [0] * n, [0] * n, [0] * n, residual, 0,
+        n = len(roles)
+        return PhaseOutcome(g.nodes, [0] * n, [0] * n, [0] * n, residual, 0,
                             {"iterations": 0, "incomplete": bool(core)})
     ring1 = []
     for i in core:
-        for j in nbrs[i]:
+        for j in flat[off[i]:off[i + 1]]:
             if roles[j] is None:
                 roles[j] = RING1
                 ring1.append(j)
     for i in ring1:       # a core node's neighbors are core or ring1
-        for j in nbrs[i]:
+        for j in flat[off[i]:off[i + 1]]:
             if roles[j] is None:
                 roles[j] = RING2
     outcome = run(roles)

@@ -387,15 +387,17 @@ def run_phase3(
     steps, classes = interim_palette(residual)
     prelim = len(steps) + 1
     cap = prelim + tournament_slot_count(classes)
-    ids, nbrs = residual.graph.nodes, residual.graph.neighbors
+    g = residual.graph
+    ids, flat = g.nodes, g.flat
     n = len(ids)
+    nbrs = [g.row(i) for i in range(n)]
     sleep_act = _SleepActs()
 
     def exchange(rnd, acts):
         # an interim round: everyone is awake, so every message is delivered
         trace.nodes(rnd, ids, acts)
         senders = [v for v, ns in zip(ids, nbrs) for _ in ns]
-        trace.messages(rnd, senders, [ids[j] for ns in nbrs for j in ns],
+        trace.messages(rnd, senders, list(map(ids.__getitem__, flat)),
                        b"\1" * len(senders))
 
     # interim rounds 1..P: in round r < P each node sends its color, and in
@@ -419,7 +421,7 @@ def run_phase3(
     for i, ds in enumerate(kept):
         for duty in ds:
             at_slot.setdefault(duty[0], []).append(i)
-    lists = residual.lists
+    lists = residual.list_at
     awake_rounds = [prelim] * n
     term = [0] * n
     nxt = [0] * n                  # index of each node's next duty
@@ -442,7 +444,7 @@ def run_phase3(
                     raise AlgorithmInvariantViolation(
                         f"node {format_decimal(ids[i])}: interim coloring not proper")
                 taken = heard.get(i, ())
-                free = next((x for x in lists[ids[i]] if x not in taken), None)
+                free = next((x for x in lists[i] if x not in taken), None)
                 if free is None:
                     raise AlgorithmInvariantViolation(
                         f"node {format_decimal(ids[i])}: no free list color at its leaf round")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ..errors import UsageError
-from ..graph import Coloring, ColoringInstance
+from ..graph import Coloring, ColoringInstance, format_decimal
 from ..metrics import PerNode, RunMetrics, validity_verdict
 from ..rng import derive_seed
 from ..simcore import Trace
@@ -63,7 +63,7 @@ class PipelineConfig:
         Raises UsageError for a phase-1 budget that cannot run (k1 < 1).
         """
         if self.k1 is not None and self.k1 < 1:
-            raise UsageError(f"k1 must be >= 1, got {self.k1}")
+            raise UsageError(f"k1 must be >= 1, got {format_decimal(self.k1)}")
         return replace(
             self,
             k1=self.k1 if self.k1 is not None else default_k1(n),
@@ -87,13 +87,13 @@ class PipelineConfig:
 
     def kv_block(self) -> list[str]:
         """Flat key=value lines (embedded in CSV output for reproducibility)."""
+        auto = lambda x: "auto" if x is None else format_decimal(x)
         return [
-            f"k1={self.k1 if self.k1 is not None else 'auto'}",
+            f"k1={auto(self.k1)}",
             f"k1_coefficient={K1_COEFFICIENT}",
-            f"phase2_degree_threshold="
-            f"{self.phase2_degree_threshold if self.phase2_degree_threshold is not None else 'auto'}",
+            f"phase2_degree_threshold={auto(self.phase2_degree_threshold)}",
             f"phase2_iteration_cap={PHASE2_ITERATION_CAP}",
-            f"seed={self.seed}",
+            f"seed={format_decimal(self.seed)}",
         ]
 
 
@@ -115,12 +115,13 @@ def run_pipeline(
     if trace is not None:
         trace.round_offset = 0
     p1 = run_phase1(instance, cfg.k1, derive_seed(cfg.seed, _PHASE1_SALT), trace=trace)
-    # the run's awake and termination lists (phase 1's own), its coloring and
+    # the run's awake and termination lists (phase 1's own), its colors and
     # the phase each node terminated in start from phase 1's results, and the
     # later phases write into them in place; phase 1's color list stays as
     # phase 1 left it, so that `p1.colors` keeps naming phase 1's nodes
     awake, term = p1.awake, p1.term
-    coloring = Coloring(dict(zip(nodes, p1.color)))
+    coloring = Coloring(nodes, list(p1.color))
+    color = coloring.color
     phase_of = bytearray(b"\x01") * n          # run position -> phase terminated in
     phase_awake = {1: sum(awake), 2: 0, 3: 0}
     phase_rounds = {1: p1.rounds_executed, 2: 0, 3: 0}
@@ -129,12 +130,11 @@ def run_pipeline(
     def fold(outcome, phase: int, offset: int) -> list[int]:
         """Fold a phase run on the residual at run positions `where` into the
         run; returns the run positions of its own residual."""
-        colors = coloring.assignment
         for i, c, a, t in zip(where, outcome.color, outcome.awake, outcome.term):
             awake[i] += a
             if c:
                 term[i] = offset + t
-                colors[nodes[i]] = c
+                color[i] = c
                 phase_of[i] = phase
         phase_awake[phase] = sum(outcome.awake)
         phase_rounds[phase] = outcome.rounds_executed

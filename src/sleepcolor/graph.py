@@ -4,21 +4,29 @@ Node identifiers are arbitrary distinct non-negative integers (not
 necessarily 0..n-1).  Colors are positive integers; 0 is reserved as the
 "no color yet" sentinel used throughout the coloring pipeline.
 
-A `Graph` stores its adjacency once, over node positions: position i is
-the index of an id in the sorted `nodes`, and `neighbors[i]` lists the
-positions of its neighbors in ascending order, which is also id order.
-`build_graph` fills that layout in one pass, and the phase-1 kernel, the
-validity verdict and `induced` read it directly.  `adjacency`, the
-id-keyed view that the round engine and the node programs use, is
-derived from it on first use.
+Everything per node is stored once, by node position: position i is the
+index of an id in the sorted `nodes`.  A `Graph` holds its adjacency as
+compressed sparse rows, two flat arrays: node i's neighbors are the
+positions flat[offsets[i]:offsets[i+1]], ascending, which is also id
+order.  A `ColoringInstance` holds one color list per position, and a
+`Coloring` one color per position (0 for none).  The kernels, the validity
+verdict and `induced` read these directly.  The id-keyed forms are derived:
+`Graph.adjacency`, which the round engine and the node programs use, is
+built on first use, and `ColoringInstance.lists` and `Coloring.assignment`
+are read-only views that find an id's position with `position`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, compress, pairwise, repeat, starmap
+from operator import add, lt, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InstanceError, ParseError
 from .rng import Lanes, NodeRng, stream_state
@@ -30,92 +38,222 @@ _GEN_STREAM = 0x67656E                       # "gen"
 _GNP_BATCH = 4096                            # most lanes the gnp generator draws at once
 
 
+def position(nodes: Sequence[int], v) -> int:
+    """The position of id v in the sorted `nodes`; KeyError if v is not one
+    of them, a key that does not compare with ids included."""
+    try:
+        i = bisect_left(nodes, v)
+    except TypeError:
+        raise KeyError(v) from None
+    if i == len(nodes) or nodes[i] != v:
+        raise KeyError(v)
+    return i
+
+
+class NodeView(Mapping):
+    """A read-only id-keyed view over position lists, keyed by the sorted ids
+    `nodes`.  A subclass gives `__getitem__` and `_values()`, the values in
+    node order, which `values()` and `items()` walk without a lookup per id."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+
+class PositionView(NodeView):
+    """id -> column[i] for the node at position i of the sorted `nodes`;
+    nothing is copied, and a lookup finds the id's position with `position`."""
+
+    __slots__ = ("nodes", "column")
+
+    def __init__(self, nodes: Sequence[int], column: Sequence):
+        self.nodes, self.column = nodes, column
+
+    def __getitem__(self, v):
+        return self.column[position(self.nodes, v)]
+
+    def _values(self):
+        return iter(self.column)
+
+
+class ColorView(PositionView):
+    """A `PositionView` of colors without the uncolored nodes."""
+
+    __slots__ = ()
+
+    def __getitem__(self, v):
+        c = self.column[position(self.nodes, v)]
+        if c == UNCOLORED:
+            raise KeyError(v)
+        return c
+
+    def __iter__(self):
+        return compress(self.nodes, self.column)
+
+    def __len__(self):
+        return len(self.column) - self.column.count(UNCOLORED)
+
+    def _values(self):
+        return filter(None, self.column)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()       # no lookup per id
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values())
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph with stable integer node ids.
+    """Immutable undirected simple graph with stable integer node ids, held
+    as compressed sparse rows over node positions.
 
-    Node position i is the index of id nodes[i]; neighbors[i] holds the
-    ascending positions of its neighbors, which are also in id order.
+    Node position i is the index of id nodes[i].  Its neighbors' positions
+    are flat[offsets[i]:offsets[i+1]], ascending, so also in id order; each
+    edge is in `flat` twice, once in each end's row.
     """
 
     nodes: tuple[int, ...]                       # sorted, distinct
-    neighbors: tuple[tuple[int, ...], ...]       # position -> neighbor positions
+    offsets: array                               # "q", n + 1 row starts in `flat`
+    flat: array                                  # "i", the rows one after another
     max_degree: int
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """id -> sorted neighbor ids, derived from `neighbors` on first use."""
-        nodes = self.nodes
-        return {v: tuple([nodes[j] for j in nbrs])
-                for v, nbrs in zip(nodes, self.neighbors)}
+        """id -> sorted neighbor ids, derived from the rows on first use."""
+        nodes, off, flat = self.nodes, self.offsets, self.flat
+        at = nodes.__getitem__
+        return {v: tuple(map(at, flat[off[i]:off[i + 1]])) for i, v in enumerate(nodes)}
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
+    def row(self, i: int) -> array:
+        """The neighbor positions of node position i, ascending."""
+        return self.flat[self.offsets[i]:self.offsets[i + 1]]
+
+    def degrees(self) -> Iterator[int]:
+        """Each node's degree, in position order."""
+        off = self.offsets
+        return map(sub, off[1:], off)
+
     def edges(self) -> list[tuple[int, int]]:
-        nodes = self.nodes
-        return [(u, nodes[j]) for i, (u, nbrs) in enumerate(zip(nodes, self.neighbors))
-                for j in nbrs if j > i]
+        nodes, off, flat = self.nodes, self.offsets, self.flat
+        return [(u, nodes[j]) for i, u in enumerate(nodes)
+                for j in flat[off[i]:off[i + 1]] if j > i]
 
     def edge_count(self) -> int:
-        return sum(map(len, self.neighbors)) // 2
+        return len(self.flat) // 2
 
     def induced(self, keep: Sequence[int]) -> "Graph":
         """Subgraph induced on the ascending node positions `keep` (ids preserved)."""
         new = [-1] * len(self.nodes)             # old position -> new position
         for k, i in enumerate(keep):
             new[i] = k
-        nodes = tuple([self.nodes[i] for i in keep])
-        neighbors = tuple([tuple([new[j] for j in self.neighbors[i] if new[j] >= 0])
-                           for i in keep])
-        return Graph(nodes, neighbors, max(map(len, neighbors), default=0))
+        off, flat = self.offsets, self.flat
+        offsets, rows = array("q", [0]), array("i")
+        for i in keep:
+            rows.extend([k for k in map(new.__getitem__, flat[off[i]:off[i + 1]]) if k >= 0])
+            offsets.append(len(rows))
+        return _graph(tuple([self.nodes[i] for i in keep]), offsets, rows)
+
+
+def _graph(nodes: tuple[int, ...], offsets: array, flat: array) -> Graph:
+    return Graph(nodes, offsets, flat, max(map(sub, offsets[1:], offsets), default=0))
 
 
 def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
     """Build a graph from explicit edges, consumed in one pass, and node ids.
 
-    Rejects duplicate ids, self-loops, duplicate edges (after normalizing
-    orientation) and edges touching unknown ids.  Isolated nodes are fine.
+    Rejects duplicate ids, self-loops, edges touching unknown ids (each in
+    the order the edges come) and then duplicate edges, after normalizing
+    orientation: the smallest one, by its ends' positions.  Isolated nodes
+    are fine.
+
+    The edges are kept as two columns of end positions, the smaller end
+    first, and sorted unless they already ascend, as generated edges do.
+    One pass over them in that order then fills every row in ascending
+    order: a node hears from its lower neighbors before its higher ones.
     """
     if not node_ids:
         raise InstanceError("a graph needs at least one node")
     nodes = tuple(sorted(node_ids))
-    position = {v: i for i, v in enumerate(nodes)}
-    if len(position) != len(nodes):
+    positions = {v: i for i, v in enumerate(nodes)}
+    if len(positions) != len(nodes):
         raise InstanceError("duplicate node id")
     if nodes[0] < 0:
         raise InstanceError("node ids must be non-negative")
 
-    adj: list[list[int]] = [[] for _ in nodes]
+    lo, hi = array("i"), array("i")
+    lo_append, hi_append = lo.append, hi.append
     for u, v in edges:
         if u == v:
             raise InstanceError(f"self-loop at node {format_decimal(u)}")
         try:
-            i = position[u]
-            j = position[v]
+            i = positions[u]
+            j = positions[v]
         except KeyError:
             raise InstanceError(f"edge ({format_decimal(u)},{format_decimal(v)}) "
                                 f"touches an unknown node id") from None
-        adj[i].append(j)
-        adj[j].append(i)
+        if i < j:
+            lo_append(i)
+            hi_append(j)
+        else:
+            lo_append(j)
+            hi_append(i)
+    del positions
 
-    for i, nbrs in enumerate(adj):
-        nbrs.sort()
-        prev = -1
-        for j in nbrs:
-            if j == prev:                        # the first sighting has i < j
+    n = len(nodes)
+    if not all(starmap(lt, pairwise(zip(lo, hi)))):      # not strictly ascending
+        keys = sorted(map(add, map(mul, lo, repeat(n)), hi))    # edge (i, j) as i*n + j
+        for a, b in pairwise(keys):
+            if a == b:
+                i, j = divmod(a, n)
                 raise InstanceError(f"duplicate edge ({format_decimal(nodes[i])},"
                                     f"{format_decimal(nodes[j])})")
-            prev = j
-        adj[i] = tuple(nbrs)                     # frees the list as it goes
-    neighbors = tuple(adj)
-    return Graph(nodes, neighbors, max(map(len, neighbors)))
+        lo = array("i", [k // n for k in keys])
+        hi = array("i", [k % n for k in keys])
+        del keys
+
+    degree = [0] * n
+    for i in lo:
+        degree[i] += 1
+    for j in hi:
+        degree[j] += 1
+    offsets = array("q", accumulate(degree, initial=0))
+    del degree
+    nxt = offsets.tolist()                       # the next free slot of each row
+    flat = array("i", bytes(8 * len(lo)))
+    for i, j in zip(lo, hi):
+        flat[nxt[i]] = j
+        nxt[i] += 1
+        flat[nxt[j]] = i
+        nxt[j] += 1
+    return _graph(nodes, offsets, flat)
 
 
 @dataclass(frozen=True)
 class ColoringInstance:
     """A (deg+1)-list-coloring problem: a graph plus one color list per node.
+
+    `list_at[i]` is the sorted color list of node position i, and `lists`
+    the read-only id-keyed view of it.  The constructor also takes the lists
+    as an id-keyed mapping, which it reads in node order.
 
     The constructor checks nothing.  Input from outside is validated where
     it enters, by `make_instance` and `read_instance`: every list sorted,
@@ -129,13 +267,24 @@ class ColoringInstance:
     """
 
     graph: Graph
-    lists: Mapping[int, tuple[int, ...]]         # id -> sorted color list
+    list_at: list[tuple[int, ...]]               # position -> sorted color list
+
+    def __post_init__(self):
+        if isinstance(self.list_at, Mapping):
+            object.__setattr__(self, "list_at", [self.list_at[v] for v in self.graph.nodes])
+
+    @property
+    def lists(self) -> PositionView:
+        """id -> sorted color list."""
+        return PositionView(self.graph.nodes, self.list_at)
 
 
 def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringInstance:
-    """Validate and normalize lists (sorted, deduplicated is an error)."""
-    norm: dict[int, tuple[int, ...]] = {}
-    for v, nbrs in zip(graph.nodes, graph.neighbors):
+    """Validate and normalize lists (sorted, deduplicated is an error); nodes
+    with equal lists share one tuple."""
+    norm: list[tuple[int, ...]] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for v, degree in zip(graph.nodes, graph.degrees()):
         if v not in lists:
             raise InstanceError(f"node {format_decimal(v)} has no color list")
         lst = tuple(sorted(lists[v]))
@@ -144,12 +293,12 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
         if any(c <= 0 for c in lst):
             raise InstanceError(
                 f"node {format_decimal(v)}: colors must be positive (0 is reserved)")
-        if len(lst) < len(nbrs) + 1:
+        if len(lst) < degree + 1:
             raise InstanceError(
                 f"node {format_decimal(v)}: list of size {len(lst)} but degree "
-                f"{len(nbrs)} (needs at least deg+1)"
+                f"{degree} (needs at least deg+1)"
             )
-        norm[v] = lst
+        norm.append(shared.setdefault(lst, lst))
     extra = set(lists).difference(graph.nodes)
     if extra:
         raise InstanceError(f"lists given for unknown nodes: {_id_list(extra)}")
@@ -159,17 +308,22 @@ def make_instance(graph: Graph, lists: Mapping[int, Sequence[int]]) -> ColoringI
 def make_default_instance(graph: Graph) -> ColoringInstance:
     """The (deg+1)-coloring special case: node v gets the list {1, ..., deg(v)+1},
     one tuple per distinct degree, shared by the nodes of that degree."""
-    shared = {d: tuple(range(1, d + 2)) for d in set(map(len, graph.neighbors))}
-    return ColoringInstance(
-        graph, {v: shared[len(nbrs)] for v, nbrs in zip(graph.nodes, graph.neighbors)})
+    shared = {d: tuple(range(1, d + 2)) for d in set(graph.degrees())}
+    return ColoringInstance(graph, list(map(shared.__getitem__, graph.degrees())))
 
 
 @dataclass
 class Coloring:
-    """A (possibly partial) color assignment, node id -> color; uncolored nodes
-    are absent."""
+    """A (possibly partial) coloring by node position: color[i] is the color
+    of node nodes[i], 0 for none.  `assignment` is the read-only id-keyed
+    view, without the uncolored nodes."""
 
-    assignment: dict[int, int] = field(default_factory=dict)
+    nodes: tuple[int, ...]
+    color: list[int]
+
+    @property
+    def assignment(self) -> ColorView:
+        return ColorView(self.nodes, self.color)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +538,8 @@ def write_instance(instance: ColoringInstance, path: str) -> None:
     g = instance.graph
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"dlc 1 {g.node_count} {g.edge_count()}\n")
-        for v in g.nodes:
-            fh.write(_line("node", (v, *instance.lists[v])))
+        for v, lst in zip(g.nodes, instance.list_at):
+            fh.write(_line("node", (v, *lst)))
         for edge in g.edges():
             fh.write(_line("edge", edge))
 
@@ -401,8 +555,10 @@ def _ints(fields: Sequence[str], message: str, lineno: int) -> tuple[int, ...]:
 def read_instance(path: str) -> ColoringInstance:
     header = None
     lists: dict[int, tuple[int, ...]] = {}    # id -> color list, as read
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}   # one copy of each list
     node_lines = 0                         # a repeated id is counted, then rejected
-    ends: list[int] = []                   # edge endpoints, two per edge line
+    ends = array("q")                      # edge endpoints, two per edge line; ints
+                                           # once an id does not fit 64 bits
     # a non-ASCII byte decodes to a lone surrogate, so it is caught on its own line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -430,14 +586,21 @@ def read_instance(path: str) -> ColoringInstance:
                 if len(parts) < 3:
                     raise ParseError("node line needs an id and at least one color", lineno)
                 vid, *cols = _ints(parts[1:], "non-integer field in node line", lineno)
-                lists[vid] = tuple(cols)
+                cols = tuple(cols)
+                lists[vid] = shared.setdefault(cols, cols)
                 node_lines += 1
             elif kind == "edge":
                 if header is None:
                     raise ParseError("edge line before header", lineno)
                 if len(parts) != 3:
                     raise ParseError("edge line must be 'edge <u> <v>'", lineno)
-                ends += _ints(parts[1:], "non-integer field in edge line", lineno)
+                pair = _ints(parts[1:], "non-integer field in edge line", lineno)
+                try:
+                    ends += array("q", pair)
+                except OverflowError:
+                    if ends.__class__ is array:
+                        ends = ends.tolist()
+                    ends += pair
             else:
                 raise ParseError(f"unknown record {kind!r}", lineno)
     if header is None:
@@ -453,5 +616,5 @@ def read_instance(path: str) -> ColoringInstance:
         raise InstanceError("duplicate node id")
     it = iter(ends)
     graph = build_graph(zip(it, it), list(lists))
-    del ends, it                           # the graph holds the edges from here on
+    del ends, it, shared                   # the graph holds the edges from here on
     return make_instance(graph, lists)

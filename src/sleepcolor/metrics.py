@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InternalError, UsageError
-from .graph import UNCOLORED, Coloring, ColoringInstance, format_decimal
+from .graph import (
+    UNCOLORED,
+    Coloring,
+    ColoringInstance,
+    ColorView,
+    NodeView,
+    format_decimal,
+    position,
+)
 
 PROPER_TOTAL = "proper_total"
 PROPER_PARTIAL = "proper_partial"
@@ -30,28 +37,36 @@ CSV_FIELDS = _csv_fields(DECAY_COLUMNS)
 
 
 def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) -> str:
-    """Exhaustive scan: list membership per node, conflict per edge, totality."""
+    """Exhaustive scan over node positions: list membership per node,
+    conflict per edge, totality.  A `ColorView` over the instance's own
+    nodes, as `Coloring.assignment` is, is read by position directly."""
     g = instance.graph
-    colors = [assignment.get(v, UNCOLORED) for v in g.nodes]     # by position
-    total = True
-    for v, c in zip(g.nodes, colors):
-        if c == UNCOLORED:
-            total = False
-        elif c not in instance.lists[v]:
+    colors = _colors_at(g.nodes, assignment)
+    for c, lst in zip(colors, instance.list_at):
+        if c != UNCOLORED and c not in lst:
             return INVALID
-    for c, nbrs in zip(colors, g.neighbors):
+    off, flat = g.offsets, g.flat
+    for i, c in enumerate(colors):
         if c != UNCOLORED:
-            for j in nbrs:
+            for j in flat[off[i]:off[i + 1]]:
                 if colors[j] == c:
                     return INVALID
-    return PROPER_TOTAL if total else PROPER_PARTIAL
+    return PROPER_PARTIAL if UNCOLORED in colors else PROPER_TOTAL
 
 
-class PerNode(Mapping):
+def _colors_at(nodes, assignment: Mapping[int, int]):
+    """The color of each of `nodes` by position, 0 for none; a `ColorView`
+    over these very nodes hands over its own list."""
+    if isinstance(assignment, ColorView) and assignment.nodes is nodes:
+        return assignment.column
+    return [assignment.get(v, UNCOLORED) for v in nodes]
+
+
+class PerNode(NodeView):
     """node id -> (awake rounds, termination round, phase terminated in), read
     from a run's position lists: the sorted `nodes`, and `awake`, `term` and
-    `phase` by position.  Nothing is copied; a lookup bisects `nodes`, and
-    `values()` and `items()` walk the lists in node order."""
+    `phase` by position.  Nothing is copied; a lookup finds the id's position
+    with `graph.position`."""
 
     __slots__ = ("nodes", "awake", "term", "phase")
 
@@ -59,37 +74,11 @@ class PerNode(Mapping):
         self.nodes, self.awake, self.term, self.phase = nodes, awake, term, phase
 
     def __getitem__(self, v):
-        try:
-            i = bisect_left(self.nodes, v)
-        except TypeError:     # a key that does not compare with ids is not one
-            raise KeyError(v) from None
-        if i == len(self.nodes) or self.nodes[i] != v:
-            raise KeyError(v)
+        i = position(self.nodes, v)
         return self.awake[i], self.term[i], self.phase[i]
 
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def values(self):
-        return _Values(self)
-
-    def items(self):
-        return _Items(self)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        m = self._mapping
-        return zip(m.awake, m.term, m.phase)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        m = self._mapping
-        return zip(m.nodes, zip(m.awake, m.term, m.phase))
+    def _values(self):
+        return zip(self.awake, self.term, self.phase)
 
 
 @dataclass(frozen=True)
@@ -132,13 +121,14 @@ class RunMetrics:
               for i in range(1, max(DECAY_COLUMNS, len(self.decay_histogram)) + 1)]
         avg = self.average_awake
         return (
-            [str(seed), family, str(n), _fmt_param(param), str(k), str(threshold),
-             str(self.worst_case_awake),
+            [format_decimal(seed), family, format_decimal(n), _fmt_param(param),
+             format_decimal(k), format_decimal(threshold),
+             format_decimal(self.worst_case_awake),
              f"{avg.numerator / avg.denominator:.6f}",
-             str(self.total_rounds),
+             format_decimal(self.total_rounds),
              "1" if self.validity == PROPER_TOTAL else "0",
              "1" if self.phase2_incomplete else "0"]
-            + [str(x) for x in xs]
+            + [format_decimal(x) for x in xs]
         )
 
 
@@ -174,10 +164,10 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
             term[v] = rnd
 
     assignment = coloring.assignment
-    for v, r in term.items():
+    for (v, r), c in zip(term.items(), _colors_at(instance.graph.nodes, assignment)):
         if r is None:
             raise InternalError(f"node {format_decimal(v)} never terminated in trace")
-        if not assignment.get(v):
+        if not c:
             raise InternalError(f"node {format_decimal(v)} terminated in trace "
                                 f"but has no color")
 

@@ -29,8 +29,7 @@ def choice_space(instance: ColoringInstance) -> dict[int, list[tuple[int, int]]]
     1/2 for the 0 draw and 1/(2|L|) for each list color.
     """
     space = {}
-    for v in instance.graph.nodes:
-        lst = instance.lists[v]
+    for v, lst in zip(instance.graph.nodes, instance.list_at):
         if not lst:
             raise _kernels.out_of_colors(v)
         space[v] = [(0, len(lst))] + [(c, 1) for c in lst]
@@ -39,8 +38,8 @@ def choice_space(instance: ColoringInstance) -> dict[int, list[tuple[int, int]]]
 
 def _guard(instance: ColoringInstance) -> None:
     size = 1
-    for v in instance.graph.nodes:
-        size *= len(instance.lists[v]) + 1
+    for lst in instance.list_at:
+        size *= len(lst) + 1
         if size > ENUMERATION_GUARD:
             raise TooLargeForOracle(
                 f"joint choice space exceeds {ENUMERATION_GUARD} outcomes"
@@ -59,9 +58,10 @@ def exact_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fracti
     space = list(choice_space(instance).values())     # in node order
     total = math.prod(sum(w for _, w in outcomes) for outcomes in space)
     hits = [0] * len(nodes)
+    rows = [g.row(i) for i in range(len(nodes))]
     for joint in itertools.product(*space):
         weight = math.prod(w for _, w in joint)
-        for i, nbrs in enumerate(g.neighbors):
+        for i, nbrs in enumerate(rows):
             cv = joint[i][0]
             if cv == 0:
                 continue
@@ -99,8 +99,8 @@ def _nonisomorphic_graphs(max_n: int = 4):
 
 def _assignment(kind: str, graph) -> dict[int, tuple[int, ...]]:
     lists = {}
-    for i, (v, nbrs) in enumerate(zip(graph.nodes, graph.neighbors)):
-        size = len(nbrs) + 1
+    for i, (v, degree) in enumerate(zip(graph.nodes, graph.degrees())):
+        size = degree + 1
         if kind == "minimal":
             lists[v] = tuple(range(1, size + 1))
         elif kind == "shifted":

@@ -71,11 +71,11 @@ def random_residual_instance(trial: int, max_n: int = 60) -> ColoringInstance:
     p = 0.03 + 0.25 * (rng.randrange(1000) / 1000.0)
     graph = generate("gnp", n, seed=trial, param=p)
     lists = {}
-    for v, nbrs in zip(graph.nodes, graph.neighbors):
+    for v, degree in zip(graph.nodes, graph.degrees()):
         start = 1 + rng.randrange(4)
         extra = rng.randrange(3)
         step = 1 + rng.randrange(2)
-        size = len(nbrs) + 1 + extra
+        size = degree + 1 + extra
         lists[v] = tuple(start + step * i for i in range(size))
     return make_instance(graph, lists)
 
@@ -218,8 +218,8 @@ def reference_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fr
         weight = Fraction(1)
         for _, w in joint:
             weight *= w
-        for i, nbrs in enumerate(g.neighbors):
+        for i in range(len(g.nodes)):
             cv = joint[i][0]
-            if cv != 0 and all(joint[j][0] != cv for j in nbrs):
+            if cv != 0 and all(joint[j][0] != cv for j in g.row(i)):
                 probs[i] += weight
     return dict(zip(g.nodes, probs))

@@ -347,6 +347,40 @@ def test_integer_options_take_a_minus_sign_and_blanks_around_sizes(capsys):
         "n=16", "n=32"]
 
 
+_HUGE = HUGE_ID_DIGITS[0]          # more digits than int() and str() convert by default
+
+
+@pytest.mark.parametrize("args,code,error", [
+    (["scaling", "--sizes", "16,-" + _HUGE], 1, "error: usage: --sizes must all be >= 1, got -"),
+    (["run", "--family", "path", "--n", "4", "--k1", "-" + _HUGE], 1,
+     "error: usage: k1 must be >= 1, got -"),
+    (["run", "--family", "path", "--n", "4", "--phase2-threshold", "-" + _HUGE], 0, ""),
+    (["run", "--family", "path", "--n", "4", "--seed-base", _HUGE], 0, ""),
+], ids=["sizes", "k1", "phase2-threshold", "seed-base"])
+def test_integer_options_past_the_digit_limit_end_in_a_result_or_an_error_line(
+        args, code, error, tmp_path, capsys):
+    # each printed the option with str() and ended in a ValueError traceback
+    trace = tmp_path / "t.trace"
+    extra = ["--trace", str(trace)] if args[0] == "run" else []
+    got, out, err = run_cli(args + extra, capsys)
+    assert got == code
+    if error:
+        assert out == "" and err == f"{error}{_HUGE}\n"
+        return
+    assert err == ""
+    comments = [l for l in out.splitlines() if l.startswith("# ")]
+    header, row = [l.split(",") for l in out.splitlines() if not l.startswith("#")]
+    fields = dict(zip(header, row))
+    option, value = args[-2:]
+    if option == "--seed-base":
+        assert fields["seed"] == value
+        assert f"# seed={value}" in comments
+        assert trace.read_text().startswith(f"# run seed={value}\n")
+    else:
+        assert fields["threshold"] == value
+        assert f"# phase2_degree_threshold={value}" in comments
+
+
 @pytest.mark.parametrize("args", [
     lambda d: ["run", "--family", "path", "--n", "8", "--out", str(d / "no" / "o.csv")],
     lambda d: ["run", "--family", "path", "--n", "8", "--trace", str(d / "no" / "t")],

@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 
@@ -165,7 +166,7 @@ def test_gnp_probability_outside_the_unit_interval_rejected():
 
 def test_regular_generator():
     g = generate("regular", 16, seed=3, param=4)
-    assert all(len(nbrs) == 4 for nbrs in g.neighbors)
+    assert list(g.degrees()) == [4] * 16
     assert generate("regular", 16, seed=3, param=4).edges() == g.edges()
 
 
@@ -208,16 +209,28 @@ def _graph_inputs(draw):
     return ids, edges, keep
 
 
+def _assert_csr(g):
+    """The row invariants: n + 1 offsets from 0 to the end of `flat`, every
+    row strictly ascending (so without repeats), no self-loop, every edge in
+    both ends' rows, and `max_degree` the longest row."""
+    off, flat, n = g.offsets, g.flat, len(g.nodes)
+    assert len(off) == n + 1 and off[0] == 0 and off[-1] == len(flat)
+    for i in range(n):
+        row = list(g.row(i))
+        assert row == sorted(set(row)) and i not in row
+        assert all(0 <= j < n and i in g.row(j) for j in row)
+    assert g.max_degree == max(map(len, map(g.row, range(n))))
+
+
 @given(_graph_inputs())
 def test_position_layout_matches_the_edges(inputs):
     ids, edges, keep = inputs
     g = build_graph(edges, ids)
     assert g.nodes == tuple(sorted(ids))
+    _assert_csr(g)
     position = {v: i for i, v in enumerate(g.nodes)}
-    for i, nbrs in enumerate(g.neighbors):
-        assert list(nbrs) == sorted(set(nbrs))
-        assert all(i in g.neighbors[j] for j in nbrs)
-        assert nbrs == tuple(position[u] for u in g.adjacency[g.nodes[i]])
+    for i in range(len(g.nodes)):
+        assert tuple(g.row(i)) == tuple(position[u] for u in g.adjacency[g.nodes[i]])
     normalized = sorted((min(u, v), max(u, v)) for u, v in edges)
     assert g.edges() == normalized and g.edge_count() == len(edges)
     degree = {v: 0 for v in ids}
@@ -226,8 +239,51 @@ def test_position_layout_matches_the_edges(inputs):
         degree[v] += 1
     assert g.max_degree == max(degree.values())
     kept = set(keep)
-    assert g.induced(sorted(position[v] for v in kept)) == build_graph(
-        [(u, v) for u, v in edges if u in kept and v in kept], keep)
+    sub = g.induced(sorted(position[v] for v in kept))
+    _assert_csr(sub)
+    assert sub == build_graph([(u, v) for u, v in edges if u in kept and v in kept], keep)
+
+
+def _write_edges(path, ids, edges):
+    """A `.dlc` file with lists 1..n for the ids and the edges as given."""
+    lines = [f"dlc 1 {len(ids)} {len(edges)}"]
+    lines += [f"node {v} {' '.join(map(str, range(1, len(ids) + 1)))}" for v in ids]
+    lines += [f"edge {u} {v}" for u, v in edges]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_rows_do_not_depend_on_the_edge_order(tmp_path):
+    # ids whose positions differ from their values, one of them past 64 bits
+    g = generate("gnp", 60, seed=5, param=0.2)
+    ids = [3 * v + 7 for v in g.nodes[:-1]] + [2**70]
+    rename = dict(zip(g.nodes, ids))
+    ascending = [(rename[u], rename[v]) for u, v in g.edges()]
+    rng = random.Random(11)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in ascending]
+    rng.shuffle(shuffled)
+    reversed_ = [(v, u) if k % 3 else (u, v) for k, (u, v) in enumerate(ascending[::-1])]
+    want = build_graph(ascending, ids)
+    assert list(want.offsets) == list(g.offsets) and list(want.flat) == list(g.flat)
+    for name, edges in (("ascending", ascending), ("reversed", reversed_),
+                        ("shuffled", shuffled)):
+        path = tmp_path / f"{name}.dlc"
+        _write_edges(path, ids[::-1], edges)
+        got = read_instance(str(path)).graph
+        assert (got.nodes, got.offsets, got.flat) == (want.nodes, want.offsets, want.flat)
+        assert build_graph(iter(edges), ids) == want, name
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(9, 5), (5, 9)], "duplicate edge (5,9)"),
+    ([(5, 9), (2**70, 5), (9, 5)], "duplicate edge (5,9)"),
+    # the smallest repeated edge is named, whatever order the file has
+    ([(9, 2**70), (2**70, 9), (5, 9), (9, 5)], "duplicate edge (5,9)"),
+    ([(2**70, 5), (9, 2**70), (5, 2**70), (2**70, 9)], f"duplicate edge (5,{2**70})"),
+])
+def test_a_repeated_edge_in_either_orientation_is_named(edges, message):
+    with pytest.raises(InstanceError) as err:
+        build_graph(edges, [9, 5, 2**70])
+    assert str(err.value) == message
 
 
 def test_induced_subgraph():
@@ -256,8 +312,8 @@ def test_round_trip_default_k3(tmp_path):
 
 def test_round_trip_irregular_instance(tmp_path):
     g = generate("gnp", 30, seed=2, param=0.15)
-    lists = {v: tuple(range(v + 1, v + len(nbrs) + 3))
-             for v, nbrs in zip(g.nodes, g.neighbors)}
+    lists = {v: tuple(range(v + 1, v + degree + 3))
+             for v, degree in zip(g.nodes, g.degrees())}
     inst = make_instance(g, lists)
     path = tmp_path / "irr.dlc"
     write_instance(inst, str(path))

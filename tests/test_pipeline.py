@@ -166,7 +166,7 @@ def test_collect_detects_a_trace_missing_a_term_event():
     corrupted[0] = 0
     trace = _without_term_of_node_0(trace)
     with pytest.raises(InternalError):
-        collect(trace, Coloring({1: corrupted.get(1, 0), 0: 5}), inst, cfg)
+        collect(trace, _coloring(inst, {1: corrupted.get(1, 0), 0: 5}), inst, cfg)
 
 
 def test_collect_rejects_a_terminated_node_without_a_color():
@@ -177,9 +177,9 @@ def test_collect_rejects_a_terminated_node_without_a_color():
     coloring, _ = run_pipeline(inst, cfg, trace=trace)
     partial = {v: c for v, c in coloring.assignment.items() if v != 0}
     with pytest.raises(InternalError, match="node 0 terminated"):
-        collect(trace, Coloring(partial), inst, cfg)
+        collect(trace, _coloring(inst, partial), inst, cfg)
     with pytest.raises(InternalError, match="node 0 terminated"):
-        collect(trace, Coloring({**partial, 0: 0}), inst, cfg)
+        collect(trace, _coloring(inst, {**partial, 0: 0}), inst, cfg)
 
 
 def test_collect_rejects_a_node_that_never_terminated():
@@ -191,7 +191,12 @@ def test_collect_rejects_a_node_that_never_terminated():
     trace = _without_term_of_node_0(trace)
     partial = {v: c for v, c in coloring.assignment.items() if v != 0}
     with pytest.raises(InternalError, match="node 0 never terminated"):
-        collect(trace, Coloring(partial), inst, cfg)
+        collect(trace, _coloring(inst, partial), inst, cfg)
+
+
+def _coloring(inst, assignment):
+    """The instance's coloring that `assignment`, id -> color, gives."""
+    return Coloring(inst.graph.nodes, [assignment.get(v, 0) for v in inst.graph.nodes])
 
 
 def _without_term_of_node_0(trace):
@@ -283,16 +288,16 @@ def test_default_lists_are_shared_per_degree_and_left_intact():
     inst = make_default_instance(generate("gnp", 300, seed=6, param=0.02))
     g = inst.graph
     by_degree = {}
-    for v, nbrs in zip(g.nodes, g.neighbors):
-        assert by_degree.setdefault(len(nbrs), inst.lists[v]) is inst.lists[v]
+    for v, degree in zip(g.nodes, g.degrees()):
+        assert by_degree.setdefault(degree, inst.lists[v]) is inst.lists[v]
     assert len(by_degree) < len(g.nodes)
     # the kernels prune copies, never the shared tuples
     coloring, metrics = run_pipeline(inst, PipelineConfig(seed=6, k1=1,
                                                           phase2_degree_threshold=3))
     assert metrics.validity == "proper_total"
     assert {2, 3} <= {ph for _a, _t, ph in metrics.per_node.values()}
-    for v, nbrs in zip(g.nodes, g.neighbors):
-        assert inst.lists[v] == tuple(range(1, len(nbrs) + 2))
+    for v, degree in zip(g.nodes, g.degrees()):
+        assert inst.lists[v] == tuple(range(1, degree + 2))
 
 
 # Ids past the interpreter's 4,300-digit str() limit: every error message that
@@ -317,7 +322,7 @@ def _collect(events, colors=((_A, 1),)):
     for e in events:
         trace.nodes(e[0], [e[1]], [e[2]])
     inst = make_default_instance(build_graph([], [_A]))
-    collect(trace, Coloring(dict(colors)), inst, PipelineConfig())
+    collect(trace, _coloring(inst, dict(colors)), inst, PipelineConfig())
 
 
 # path -> (error type, the ids its message names, the call)
@@ -369,6 +374,30 @@ def test_pipeline_peak_memory_above_the_instance():
         tracemalloc.stop()
     assert metrics.validity == "proper_total"
     assert peak < 4.5e6
+
+
+def test_live_memory_per_node_after_each_stage():
+    # tracemalloc live bytes per node on gnp 4096, expected degree 8, seed 3,
+    # after generate, make_default_instance and run_pipeline (its coloring
+    # and metrics kept): 177 / 214 / 268 B while the graph held a tuple of
+    # neighbors per node and the instance and the coloring an n-entry
+    # id-keyed dict each, 80 / 90 / 117 B with flat position-indexed
+    # storage; the bounds sit between the two
+    n = 4096
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = generate("gnp", n, seed=3, param=8 / n)
+        live = [tracemalloc.get_traced_memory()[0]]
+        inst = make_default_instance(g)
+        live.append(tracemalloc.get_traced_memory()[0])
+        coloring, metrics = run_pipeline(inst, PipelineConfig(seed=3))
+        live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert metrics.validity == "proper_total" and len(coloring.assignment) == n
+    per_node = [b / n for b in live]
+    assert per_node[0] <= 130 and per_node[1] <= 150 and per_node[2] <= 190, per_node
 
 
 def test_read_instance_peak_memory_per_node(tmp_path):
