@@ -38,11 +38,11 @@ def instance_arrays(instance: ColoringInstance):
     """Lay an instance out over node positions (the index in sorted ids).
 
     Returns (ids, offsets, flat, lists): node position i has id ids[i],
-    neighbor positions flat[offsets[i]:offsets[i+1]] (the graph's own
-    arrays) and color list lists[i], the instance's own tuple.
+    neighbor positions flat[offsets[i]:offsets[i+1]] (ids, offsets and flat
+    are the graph's own) and color list lists[i], the instance's own tuple.
     """
     g = instance.graph
-    return list(g.nodes), g.offsets, g.flat, list(instance.list_at)
+    return g.nodes, g.offsets, g.flat, list(instance.list_at)
 
 
 def out_of_colors(v: int, where: str = "(inadmissible instance?)"

@@ -167,7 +167,7 @@ def run_pipeline(
     # every node is colored now: phase 3 colors its whole residual or raises
     metrics = RunMetrics(
         per_node=PerNode(nodes, awake, term, phase_of),
-        validity=validity_verdict(instance, coloring.assignment),
+        validity=validity_verdict(instance, coloring),
         phase2_incomplete=phase2_incomplete,
         phase_awake=phase_awake,
         phase_rounds=phase_rounds,

@@ -9,19 +9,21 @@ index of an id in the sorted `nodes`.  A `Graph` holds its adjacency as
 compressed sparse rows, two flat arrays: node i's neighbors are the
 positions flat[offsets[i]:offsets[i+1]], ascending, which is also id
 order.  A `ColoringInstance` holds one color list per position, and a
-`Coloring` one color per position (0 for none).  The kernels, the validity
-verdict and `induced` read these directly.  The id-keyed forms are derived:
-`Graph.adjacency`, which the round engine and the node programs use, is
-built on first use, and `ColoringInstance.lists` and `Coloring.assignment`
+`Coloring` one color per position (0 for none).  These lists are each
+datum's one form: the constructors take them, and the kernels, the verdict
+and `induced` read them.  The id-keyed forms are derived, for callers at the
+edges: `Graph.adjacency`, which the round engine and the node programs use,
+is built on first use, and `ColoringInstance.lists` and `Coloring.assignment`
 are read-only views that find an id's position with `position`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, pairwise, repeat, starmap
@@ -52,8 +54,7 @@ def position(nodes: Sequence[int], v) -> int:
 
 class NodeView(Mapping):
     """A read-only id-keyed view over position lists, keyed by the sorted ids
-    `nodes`.  A subclass gives `__getitem__` and `_values()`, the values in
-    node order, which `values()` and `items()` walk without a lookup per id."""
+    `nodes`.  A subclass gives `__getitem__`; `Mapping` derives the rest."""
 
     __slots__ = ()
 
@@ -62,12 +63,6 @@ class NodeView(Mapping):
 
     def __len__(self):
         return len(self.nodes)
-
-    def values(self):
-        return _Values(self)
-
-    def items(self):
-        return _Items(self)
 
 
 class PositionView(NodeView):
@@ -81,9 +76,6 @@ class PositionView(NodeView):
 
     def __getitem__(self, v):
         return self.column[position(self.nodes, v)]
-
-    def _values(self):
-        return iter(self.column)
 
 
 class ColorView(PositionView):
@@ -102,19 +94,6 @@ class ColorView(PositionView):
 
     def __len__(self):
         return len(self.column) - self.column.count(UNCOLORED)
-
-    def _values(self):
-        return filter(None, self.column)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return self._mapping._values()       # no lookup per id
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._values())
 
 
 @dataclass(frozen=True)
@@ -252,8 +231,7 @@ class ColoringInstance:
     """A (deg+1)-list-coloring problem: a graph plus one color list per node.
 
     `list_at[i]` is the sorted color list of node position i, and `lists`
-    the read-only id-keyed view of it.  The constructor also takes the lists
-    as an id-keyed mapping, which it reads in node order.
+    the read-only id-keyed view of it.
 
     The constructor checks nothing.  Input from outside is validated where
     it enters, by `make_instance` and `read_instance`: every list sorted,
@@ -268,10 +246,6 @@ class ColoringInstance:
 
     graph: Graph
     list_at: list[tuple[int, ...]]               # position -> sorted color list
-
-    def __post_init__(self):
-        if isinstance(self.list_at, Mapping):
-            object.__setattr__(self, "list_at", [self.list_at[v] for v in self.graph.nodes])
 
     @property
     def lists(self) -> PositionView:
@@ -342,6 +316,8 @@ def generate(family: str, n: int, seed: int, param: float | None = None) -> Grap
     """
     if n < 1:
         raise InstanceError("n must be >= 1")
+    if n > sys.maxsize:                          # more ids than a list can hold
+        raise InstanceError(f"n must be at most {sys.maxsize}")
     ids = list(range(n))
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -13,7 +12,6 @@ from .graph import (
     UNCOLORED,
     Coloring,
     ColoringInstance,
-    ColorView,
     NodeView,
     format_decimal,
     position,
@@ -36,12 +34,14 @@ def _csv_fields(decay_columns: int) -> list[str]:
 CSV_FIELDS = _csv_fields(DECAY_COLUMNS)
 
 
-def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) -> str:
+def validity_verdict(instance: ColoringInstance, coloring: Coloring) -> str:
     """Exhaustive scan over node positions: list membership per node,
-    conflict per edge, totality.  A `ColorView` over the instance's own
-    nodes, as `Coloring.assignment` is, is read by position directly."""
+    conflict per edge, totality.  A coloring over other nodes than the
+    instance's is invalid."""
     g = instance.graph
-    colors = _colors_at(g.nodes, assignment)
+    if coloring.nodes != g.nodes:
+        return INVALID
+    colors = coloring.color
     for c, lst in zip(colors, instance.list_at):
         if c != UNCOLORED and c not in lst:
             return INVALID
@@ -52,14 +52,6 @@ def validity_verdict(instance: ColoringInstance, assignment: Mapping[int, int]) 
                 if colors[j] == c:
                     return INVALID
     return PROPER_PARTIAL if UNCOLORED in colors else PROPER_TOTAL
-
-
-def _colors_at(nodes, assignment: Mapping[int, int]):
-    """The color of each of `nodes` by position, 0 for none; a `ColorView`
-    over these very nodes hands over its own list."""
-    if isinstance(assignment, ColorView) and assignment.nodes is nodes:
-        return assignment.column
-    return [assignment.get(v, UNCOLORED) for v in nodes]
 
 
 class PerNode(NodeView):
@@ -76,9 +68,6 @@ class PerNode(NodeView):
     def __getitem__(self, v):
         i = position(self.nodes, v)
         return self.awake[i], self.term[i], self.phase[i]
-
-    def _values(self):
-        return zip(self.awake, self.term, self.phase)
 
 
 @dataclass(frozen=True)
@@ -146,8 +135,9 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
     An independent accounting path: node lines give awake counts and
     termination rounds, the configured phase boundaries attribute rounds to
     phases, and validity comes from re-scanning the coloring against the
-    instance.  Raises InternalError when a node never terminated or
-    terminated without a color: a run that returned is always complete.
+    instance.  Raises InternalError when the coloring is over other nodes
+    than the instance, or a node never terminated or terminated without a
+    color: a run that returned is always complete.
     """
     s2, s3 = config.phase_boundaries(instance.graph.node_count)
 
@@ -163,8 +153,9 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
                 raise InternalError(f"node {format_decimal(v)} terminated twice in trace")
             term[v] = rnd
 
-    assignment = coloring.assignment
-    for (v, r), c in zip(term.items(), _colors_at(instance.graph.nodes, assignment)):
+    if coloring.nodes != instance.graph.nodes:
+        raise InternalError("the coloring is over other nodes than the instance")
+    for (v, r), c in zip(term.items(), coloring.color):
         if r is None:
             raise InternalError(f"node {format_decimal(v)} never terminated in trace")
         if not c:
@@ -190,7 +181,7 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
         # both dicts were filled in node order, so their values are by position
         per_node=PerNode(instance.graph.nodes, list(awake.values()), list(term.values()),
                          bytes(map(phase_for, term.values()))),
-        validity=validity_verdict(instance, assignment),
+        validity=validity_verdict(instance, coloring),
         phase2_incomplete=False,   # not derivable from the trace; caller's concern
         phase_awake=phase_awake,
         phase_rounds=phase_rounds,

@@ -27,8 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
-from operator import eq, le
+from operator import eq
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ProgramError, RunIncomplete
@@ -79,10 +78,12 @@ class Trace:
     `node_act`; message events in `msg_round`, `msg_sender`, `msg_receiver`
     and `msg_delivered` (a bytearray of 0/1 flags).  `node_events` and
     `msg_events` read them back as `(round, id, act)` and
-    `(round, u, v, delivered)` tuples.
+    `(round, u, v, delivered)` tuples, the flag as the stored 0 or 1.
 
-    The text lists the rounds in ascending order; within a round, its node
-    lines come first, then its message lines, each kind in recording order.
+    Each kind is recorded round by round, never going back: `nodes` and
+    `messages` refuse a round below the last one of their kind.  The text
+    lists the rounds in ascending order; within a round, its node lines
+    come first, then its message lines, each kind in recording order.
     `chunks()` yields that text piece by piece, at most `_PIECE` lines of
     one round and kind per piece, so a caller can write it out without
     holding it whole; `render()` joins the pieces.
@@ -100,7 +101,9 @@ class Trace:
 
     def nodes(self, rnd: int, ids: Sequence[int], acts: Sequence[str]) -> None:
         """One round's node events: ids[k] did acts[k]."""
-        self.node_round.extend([rnd + self.round_offset] * len(ids))
+        rnd += self.round_offset
+        _check_order(self.node_round, rnd, "node")
+        self.node_round.extend([rnd] * len(ids))
         self.node_id.extend(ids)
         self.node_act.extend(acts)
 
@@ -108,7 +111,9 @@ class Trace:
                  delivered: Iterable[int]) -> None:
         """One round's message events: senders[k] sent to receivers[k], and
         it arrived iff delivered[k] (bools, or a bytes-like of 0/1)."""
-        self.msg_round.extend([rnd + self.round_offset] * len(senders))
+        rnd += self.round_offset
+        _check_order(self.msg_round, rnd, "message")
+        self.msg_round.extend([rnd] * len(senders))
         self.msg_sender.extend(senders)
         self.msg_receiver.extend(receivers)
         self.msg_delivered.extend(delivered)
@@ -119,19 +124,16 @@ class Trace:
 
     @property
     def msg_events(self) -> EventView:
-        return _MessageView(self.msg_round, self.msg_sender, self.msg_receiver,
-                            self.msg_delivered)
+        return EventView(self.msg_round, self.msg_sender, self.msg_receiver,
+                         self.msg_delivered)
 
     def chunks(self) -> Iterator[str]:
         """The text of `render()`: each round's node lines, then its message
-        lines, one `%` format per piece of at most `_PIECE` events.
-
-        The columns are read in place when their rounds ascend, as every
-        recorder writes them; otherwise they are stably sorted by round.
+        lines, one `%` format per piece of at most `_PIECE` events, read in
+        place from the columns.
         """
-        nodes = _by_round(self.node_round, self.node_id, self.node_act)
-        msgs = _by_round(self.msg_round, self.msg_sender, self.msg_receiver,
-                         self.msg_delivered)
+        nodes = (self.node_round, self.node_id, self.node_act)
+        msgs = (self.msg_round, self.msg_sender, self.msg_receiver, self.msg_delivered)
         node_rounds, msg_rounds = nodes[0], msgs[0]
         i = j = 0
         while i < len(node_rounds) or j < len(msg_rounds):
@@ -154,7 +156,8 @@ class EventView:
 
     Read-only: `len` is the event count, iteration yields one tuple per
     event in recording order, and `in` and `==` (against another view, a
-    list or a tuple of event tuples) compare those tuples."""
+    list or a tuple of event tuples) compare those tuples.  A message's
+    delivered flag is the stored 0 or 1, equal to False or True."""
 
     __slots__ = ("_columns",)
 
@@ -178,28 +181,17 @@ class EventView:
         return f"{type(self).__name__}({list(self)!r})"
 
 
-class _MessageView(EventView):
-    """Message events, with the delivered flag as a bool."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        rounds, senders, receivers, delivered = self._columns
-        return zip(rounds, senders, receivers, map(bool, delivered))
-
-
 _PIECE = 4096          # events per `chunks()` piece: bounds the text in flight
 _NODE_LINE = "t=%d v=%d status=A act=%s\n"
 _MSG_LINE = "msg t=%d %d->%d delivered=%d\n"        # a flag prints as 1 or 0
 
 
-def _by_round(rounds: list[int], *rest) -> tuple:
-    """The columns `(rounds, *rest)`, stably sorted by round if they are not
-    in ascending order already."""
-    if all(map(le, rounds, islice(rounds, 1, None))):
-        return (rounds, *rest)
-    order = sorted(range(len(rounds)), key=rounds.__getitem__)
-    return tuple([col[k] for k in order] for col in (rounds, *rest))
+def _check_order(rounds: list[int], rnd: int, kind: str) -> None:
+    """Refuse round `rnd` for events of `kind` whose rounds so far are `rounds`
+    if it is below the last of them."""
+    if rounds and rnd < rounds[-1]:
+        raise ValueError(f"{kind} events of round {format_decimal(rnd)} recorded "
+                         f"after round {format_decimal(rounds[-1])}")
 
 
 def _lines(line: str, columns: tuple, start: int, end: int) -> str:

@@ -140,6 +140,13 @@ def test_run_n_below_one_is_an_instance_error(n, capsys):
     assert err == "error: instance: n must be >= 1\n"
 
 
+def test_run_n_past_the_list_limit_is_an_instance_error(capsys):
+    code, out, err = run_cli(["run", "--family", "path", "--n", "99999999999999999999"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: instance: n must be at most {sys.maxsize}\n"
+
+
 def test_parser_options_per_subcommand(capsys):
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -285,6 +292,13 @@ def test_scaling_output_shape(capsys):
 def test_scaling_empty_sizes_exits_one(capsys):
     code, _, err = run_cli(["scaling", "--sizes", "", "--seeds", "2"], capsys)
     assert code == 1 and err.startswith("error: usage:")
+
+
+def test_scaling_size_past_the_list_limit_is_an_instance_error(capsys):
+    # the sizes before it run and print their line first
+    code, out, err = run_cli(["scaling", "--sizes", "16,99999999999999999999"], capsys)
+    assert code == 1 and out.startswith("size n=16 ") and out.count("\n") == 1
+    assert err == f"error: instance: n must be at most {sys.maxsize}\n"
 
 
 def test_scaling_bad_sizes_exits_one(capsys):

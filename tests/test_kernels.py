@@ -87,13 +87,13 @@ def test_instance_arrays_layout():
     g = build_graph([(0, 2)], [0, 1, 2])
     inst = make_instance(g, {0: (1, 3), 1: (2,), 2: (4, 8)})
     ids, offsets, flat, lists = _kernels.instance_arrays(inst)
-    assert ids == [0, 1, 2]
+    assert ids is g.nodes and list(ids) == [0, 1, 2]
     assert list(offsets) == [0, 1, 1, 2] and list(flat) == [2, 0]
     assert lists == [(1, 3), (2,), (4, 8)]
     # ids other than 0..n-1 become their positions in sorted order
     g = build_graph([(40, 5), (9, 40)], [40, 9, 5])
     inst = make_instance(g, {5: (1, 2), 9: (3, 4), 40: (1, 3, 6)})
     ids, offsets, flat, lists = _kernels.instance_arrays(inst)
-    assert ids == [5, 9, 40]
+    assert list(ids) == [5, 9, 40]
     assert list(offsets) == [0, 1, 2, 4] and list(flat) == [2, 2, 0, 1]
     assert lists == [(1, 2), (3, 4), (1, 3, 6)]

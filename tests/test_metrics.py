@@ -8,6 +8,7 @@ from helpers import file_level_verdict
 from sleepcolor.coloring import PipelineConfig, run_pipeline
 from sleepcolor.errors import UsageError
 from sleepcolor.graph import (
+    Coloring,
     build_graph,
     generate,
     make_default_instance,
@@ -53,18 +54,29 @@ def test_run_figures_are_derived_from_the_per_node_lists():
 def test_validity_verdicts():
     g = generate("clique", 3, seed=0)
     inst = make_default_instance(g)
-    assert validity_verdict(inst, {0: 1, 1: 2, 2: 3}) == "proper_total"
-    assert validity_verdict(inst, {0: 1, 1: 2}) == "proper_partial"
-    assert validity_verdict(inst, {0: 1, 1: 1, 2: 3}) == "invalid"      # conflict
-    assert validity_verdict(inst, {0: 9, 1: 2, 2: 3}) == "invalid"      # off-list
+    verdict = lambda color: validity_verdict(inst, Coloring(g.nodes, color))
+    assert verdict([1, 2, 3]) == "proper_total"
+    assert verdict([1, 2, 0]) == "proper_partial"
+    assert verdict([1, 1, 3]) == "invalid"      # conflict
+    assert verdict([9, 2, 3]) == "invalid"      # off-list
     # ids other than 0..n-1: the path 5 - 9 - big, so 5 and big may share
     big = 2**64 + 5
     g = build_graph([(big, 9), (9, 5)], [big, 9, 5])
     inst = make_instance(g, {5: (1, 2), 9: (1, 2, 3), big: (1, 2)})
-    assert validity_verdict(inst, {5: 1, 9: 2, big: 1}) == "proper_total"
-    assert validity_verdict(inst, {9: 2, big: 1}) == "proper_partial"
-    assert validity_verdict(inst, {5: 1, 9: 2, big: 2}) == "invalid"    # conflict
-    assert validity_verdict(inst, {5: 3, 9: 2, big: 1}) == "invalid"    # off-list
+    assert verdict([1, 2, 1]) == "proper_total"              # 5, 9, big
+    assert verdict([0, 2, 1]) == "proper_partial"
+    assert verdict([1, 2, 2]) == "invalid"      # conflict
+    assert verdict([3, 2, 1]) == "invalid"      # off-list
+
+
+def test_validity_verdict_takes_a_coloring_of_the_instance():
+    inst = make_default_instance(generate("path", 3, seed=0))
+    # proper colors, but over other nodes: nodes 0, 1 and 3
+    assert validity_verdict(inst, Coloring((0, 1, 3), [1, 2, 1])) == "invalid"
+    assert validity_verdict(inst, Coloring((0, 1), [1, 2])) == "invalid"
+    assert validity_verdict(inst, Coloring((0, 1, 2), [1, 2, 1])) == "proper_total"
+    with pytest.raises(AttributeError):
+        validity_verdict(inst, {0: 1, 1: 2, 2: 1})
 
 
 def test_injected_fault_detected():
@@ -72,8 +84,8 @@ def test_injected_fault_detected():
     inst = make_default_instance(g)
     coloring, metrics = run_pipeline(inst, PipelineConfig(seed=1))
     assert metrics.validity == "proper_total"
-    broken = dict(coloring.assignment)
-    broken[0] = broken[1]
+    broken = Coloring(coloring.nodes, list(coloring.color))
+    broken.color[0] = broken.color[1]
     assert validity_verdict(inst, broken) == "invalid"
 
 

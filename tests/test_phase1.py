@@ -6,6 +6,7 @@ from helpers import assert_same_phase1, random_residual_instance
 from sleepcolor import _kernels
 from sleepcolor.errors import AlgorithmInvariantViolation
 from sleepcolor.graph import (
+    Coloring,
     ColoringInstance,
     build_graph,
     generate,
@@ -48,7 +49,7 @@ def test_partial_prefixes_always_proper_and_admissible():
     inst = make_default_instance(generate("clique", 3, seed=0))
     for k in range(1, 7):
         out = run_phase1(inst, iterations=k, seed=99)
-        verdict = validity_verdict(inst, out.colors)
+        verdict = validity_verdict(inst, Coloring(out.nodes, out.color))
         assert verdict in ("proper_total", "proper_partial")
         if out.residual is not None:
             make_instance(out.residual.graph, out.residual.lists)
@@ -153,13 +154,13 @@ def test_kernel_matches_engine_driver_on_irregular_lists_and_large_ids():
 def test_kernel_and_engine_raise_alike_when_a_list_runs_out():
     # ColoringInstance(...) skips make_instance's deg+1 check
     inst = ColoringInstance(build_graph([(0, 1), (1, 2)], [0, 1, 2]),
-                            {0: (1,), 1: (1, 2), 2: (2,)})
+                            [(1,), (1, 2), (2,)])
     emptied = 0
     for seed in range(40):
         out = assert_same_phase1(inst, 4, seed)
         emptied += isinstance(out, AlgorithmInvariantViolation)
     assert emptied > 0
-    empty = ColoringInstance(build_graph([], [3, 8]), {3: (5,), 8: ()})
+    empty = ColoringInstance(build_graph([], [3, 8]), [(5,), ()])
     for run in (run_phase1, simulate_phase1, _kernels.phase1_trial_counts,
                 lambda instance, *_: exact_adoption_probabilities(instance)):
         with pytest.raises(AlgorithmInvariantViolation,
@@ -175,7 +176,7 @@ def test_kernel_and_engine_prune_every_occurrence_of_a_repeated_color():
     # runs prune every occurrence of an adopted color, and hand on a residual
     # list that still repeats a color as it is, since residuals are not
     # validated again
-    inst = ColoringInstance(build_graph([(0, 1)], [0, 1]), {0: (1,), 1: (1, 1, 2)})
+    inst = ColoringInstance(build_graph([(0, 1)], [0, 1]), [(1,), (1, 1, 2)])
     outcomes = set()
     residual_lists = []
     for seed in range(40):

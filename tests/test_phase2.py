@@ -6,6 +6,7 @@ from helpers import assert_same_phase2, random_residual_instance
 from sleepcolor.coloring import run_phase1, run_phase2
 from sleepcolor.errors import AlgorithmInvariantViolation
 from sleepcolor.graph import (
+    Coloring,
     ColoringInstance,
     build_graph,
     generate,
@@ -51,7 +52,7 @@ def test_contract_residual_degree_below_threshold():
         out = run_phase2(inst, threshold=6, iteration_cap=60, seed=seed)
         if not out.extra["incomplete"] and out.residual is not None:
             assert out.residual.graph.max_degree < 6
-        merged = dict(out.colors)
+        merged = Coloring(out.nodes, out.color)
         assert validity_verdict(inst, merged) in ("proper_partial", "proper_total")
 
 
@@ -132,7 +133,7 @@ def test_kernel_and_engine_raise_alike_when_a_proposer_runs_out():
     # ColoringInstance(...) skips make_instance's deg+1 check: ring1 node 1
     # runs out once core node 0 adopts color 1
     inst = ColoringInstance(build_graph([(0, 1), (0, 2), (0, 3)], [0, 1, 2, 3]),
-                            {0: (1, 2), 1: (1,), 2: (1, 3), 3: (2, 3)})
+                            [(1, 2), (1,), (1, 3), (2, 3)])
     raised = 0
     for seed in range(60):
         out, trace = assert_same_phase2(inst, 3, 40, seed)
@@ -143,7 +144,7 @@ def test_kernel_and_engine_raise_alike_when_a_proposer_runs_out():
     assert raised > 0
     # the first proposer in id order raises, before its round is traced
     empty = ColoringInstance(build_graph([(0, 8), (0, 3)], [0, 3, 8]),
-                             {0: (1, 2, 3), 3: (), 8: ()})
+                             [(1, 2, 3), (), ()])
     out, trace = assert_same_phase2(empty, 2, 5, 0)
     assert str(out) == "node 3 ran out of colors in degree reduction"
     assert trace.node_events == [] and trace.msg_events == []

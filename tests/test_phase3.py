@@ -24,6 +24,7 @@ from sleepcolor.coloring import phase3, pipeline
 from sleepcolor.coloring.phase3 import _iroot_ceil, _is_prime, _next_prime, simulate_phase3
 from sleepcolor.errors import AlgorithmInvariantViolation, RunIncomplete
 from sleepcolor.graph import (
+    Coloring,
     ColoringInstance,
     build_graph,
     generate,
@@ -172,7 +173,7 @@ def test_tournament_equals_sequential_greedy_on_random_instances():
         out = run_phase3(inst)
         interim = central_interim(inst)
         assert out.colors == greedy_by_class(inst, interim), f"trial {trial}"
-        assert validity_verdict(inst, out.colors) == "proper_total"
+        assert validity_verdict(inst, Coloring(out.nodes, out.color)) == "proper_total"
 
 
 def test_tournament_awake_bound():
@@ -240,13 +241,13 @@ def test_kernel_matches_engine_run_on_ids_past_64_bits():
     inst = make_default_instance(build_graph(edges, big + [4, 9, 12]))
     assert inst.graph.nodes[-1].bit_length() == 70 and interim_palette(inst)[0]
     out, _ = assert_same_phase3(inst)
-    assert validity_verdict(inst, out.colors) == "proper_total"
+    assert validity_verdict(inst, Coloring(out.nodes, out.color)) == "proper_total"
 
 
 def test_kernel_and_engine_raise_alike_when_a_leaf_finds_no_free_color():
     # lists shorter than deg+1 (not admissible, so built without make_instance)
     g = build_graph([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3])
-    inst = ColoringInstance(g, {0: (1,), 1: (1,), 2: (2, 1), 3: (2,)})
+    inst = ColoringInstance(g, [(1,), (1,), (2, 1), (2,)])
     err, trace = assert_same_phase3(inst)
     assert isinstance(err, AlgorithmInvariantViolation)
     assert "no free list color at its leaf round" in str(err)

@@ -182,6 +182,19 @@ def test_collect_rejects_a_terminated_node_without_a_color():
         collect(trace, _coloring(inst, {**partial, 0: 0}), inst, cfg)
 
 
+def test_collect_rejects_a_coloring_over_other_nodes():
+    # the trace is whole and the colors proper, but the coloring names node
+    # 40 where the instance has node 0
+    inst = make_default_instance(generate("gnp", 40, seed=2, param=0.15))
+    cfg = PipelineConfig(seed=2)
+    trace = Trace()
+    coloring, _ = run_pipeline(inst, cfg, trace=trace)
+    assert collect(trace, coloring, inst, cfg).validity == "proper_total"
+    other = Coloring((*inst.graph.nodes[1:], 40), coloring.color[1:] + coloring.color[:1])
+    with pytest.raises(InternalError, match="over other nodes"):
+        collect(trace, other, inst, cfg)
+
+
 def test_collect_rejects_a_node_that_never_terminated():
     # an uncolored node without a term event: a run that never finished
     inst = make_default_instance(generate("gnp", 40, seed=2, param=0.15))
@@ -314,7 +327,7 @@ class _SendsToStranger:
 
 
 def _emptied():
-    return ColoringInstance(build_graph([], [_A]), {_A: ()})
+    return ColoringInstance(build_graph([], [_A]), [()])
 
 
 def _collect(events, colors=((_A, 1),)):

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -243,11 +245,12 @@ def test_no_causality_leak_from_undelivered_messages():
 
 
 def test_render_text_is_pinned():
+    # each kind in ascending rounds, the kinds interleaved across rounds
     trace = Trace(round_offset=10)
-    trace.messages(2, [1], [0], [False])
-    trace.nodes(2, [1], ["send"])
-    trace.nodes(1, [0], ["sleep:1"])
     trace.messages(1, [0], [1], [True])
+    trace.messages(2, [1], [0], [False])
+    trace.nodes(1, [0], ["sleep:1"])
+    trace.nodes(2, [1], ["send"])
     trace.nodes(2, [0], ["term"])
     assert trace.render() == (
         "t=11 v=0 status=A act=sleep:1\n"
@@ -268,11 +271,13 @@ _ids = st.integers(0, 2**70)
     st.lists(st.tuples(_rounds, _ids, _ids, st.booleans())),
 )
 def test_render_equals_the_grouping_reference(node_events, msg_events):
-    # rounds out of order, both kinds in one round, and the empty trace
+    # each kind recorded in ascending rounds, stably, so that events of one
+    # round keep their generated order; both kinds in one round, rounds of
+    # one kind only, and the empty trace
     trace = Trace()
-    for e in node_events:
+    for e in sorted(node_events, key=itemgetter(0)):
         trace.nodes(e[0], [e[1]], [e[2]])
-    for e in msg_events:
+    for e in sorted(msg_events, key=itemgetter(0)):
         trace.messages(e[0], [e[1]], [e[2]], [e[3]])
     text = trace.render()
     assert text == reference_render(trace)
@@ -302,7 +307,6 @@ def test_event_views_read_the_columns():
     assert len(nodes) == 3 and len(msgs) == 3
     assert list(nodes) == [(11, 0, "send"), (12, 0, "term"), (12, 2**70, "sleep:3")]
     assert list(msgs) == [(11, 0, 2**70, True), (12, 2**70, 0, False), (12, 2**70, 5, True)]
-    assert [type(m[3]) for m in msgs] == [bool] * 3
     assert (12, 2**70, 0, False) in msgs and (12, 2**70, 0, True) not in msgs
     assert nodes == list(nodes) and nodes == tuple(nodes) and nodes != list(nodes)[:2]
     assert msgs == trace.msg_events and nodes != msgs
@@ -312,3 +316,25 @@ def test_event_views_read_the_columns():
     assert again.node_events == nodes and again.msg_events == [] and not again.msg_events
     with pytest.raises(AttributeError):
         trace.node_events = []
+
+
+def test_each_kind_refuses_a_round_below_its_last():
+    trace = Trace(round_offset=10)
+    trace.nodes(2, [0], ["send"])
+    trace.messages(3, [0], [1], [True])
+    trace.nodes(2, [1], ["cont"])     # the same round again, below the messages' last
+    trace.messages(3, [1], [0], [False])
+    columns = lambda: (list(trace.node_round), list(trace.node_id), list(trace.node_act),
+                       list(trace.msg_round), list(trace.msg_sender),
+                       list(trace.msg_receiver), bytes(trace.msg_delivered))
+    before = columns()
+    with pytest.raises(ValueError, match="node events of round 11 recorded after round 12"):
+        trace.nodes(1, [5], ["term"])
+    with pytest.raises(ValueError, match="message events of round 12 recorded after round 13"):
+        trace.messages(2, [5], [6], [True])
+    trace.round_offset = 0                       # the offset counts: 12 is below 13
+    with pytest.raises(ValueError, match="message events of round 12"):
+        trace.messages(12, [5], [6], [True])
+    assert columns() == before
+    trace.messages(13, [5], [6], [True])
+    assert list(trace.msg_round) == [13, 13, 13]
