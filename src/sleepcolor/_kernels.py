@@ -82,17 +82,6 @@ def _live_draws(state, live, counter: int) -> tuple[bytearray, array]:
     return coins, words
 
 
-def _prune(lists, j: int, c: int) -> list[int]:
-    """Remove every occurrence of c from lists[j], as the node programs do,
-    copying the instance's own tuple on its first prune."""
-    rem = lists[j]
-    if rem.__class__ is tuple:
-        rem = lists[j] = list(rem)
-    while c in rem:
-        rem.remove(c)
-    return rem
-
-
 def propose_resolve(live, coins, words, lists, offsets, flat, proposal) -> list[int]:
     """One phase-1 iteration over the live node positions, in `live` order.
 
@@ -197,8 +186,16 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
             c = proposal[a]
             proposal[a] = 0
             for j in flat[off[a]:off[a + 1]]:
-                if awake[j] and c in lists[j] and not _prune(lists, j, c):
-                    emptied = True
+                if awake[j]:
+                    rem = lists[j]
+                    if c in rem:     # remove every occurrence, as the node programs do
+                        if rem.__class__ is tuple:   # the instance's own: copy on first prune
+                            rem = lists[j] = list(rem)
+                        rem.remove(c)
+                        while c in rem:
+                            rem.remove(c)
+                        if not rem:
+                            emptied = True
         for i in dropped:
             awake[i] = False
             stop[i] = rnd
@@ -242,7 +239,7 @@ def _trace_sends(trace, rnd, ids, senders, off, flat, awake) -> None:
     receivers = array("i")
     for i in senders:
         receivers += flat[off[i]:off[i + 1]]
-    trace.messages(rnd, [ids[i] for i in senders for _ in range(off[i + 1] - off[i])],
+    trace.messages(rnd, [ids[i] for i in senders], [off[i + 1] - off[i] for i in senders],
                    [ids[j] for j in receivers], [awake[j] for j in receivers])
 
 

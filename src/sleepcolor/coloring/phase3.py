@@ -396,9 +396,8 @@ def run_phase3(
     def exchange(rnd, acts):
         # an interim round: everyone is awake, so every message is delivered
         trace.nodes(rnd, ids, acts)
-        senders = [v for v, ns in zip(ids, nbrs) for _ in ns]
-        trace.messages(rnd, senders, list(map(ids.__getitem__, flat)),
-                       b"\1" * len(senders))
+        trace.messages(rnd, ids, list(map(len, nbrs)), list(map(ids.__getitem__, flat)),
+                       b"\1" * len(flat))
 
     # interim rounds 1..P: in round r < P each node sends its color, and in
     # round r + 1 it applies reduction step r to the colors it heard
@@ -472,7 +471,8 @@ def run_phase3(
                             else "send" if kind == ANNOUNCE and nbrs[i] else "cont")
         if trace is not None:
             trace.nodes(rnd, [ids[i] for i in awake], acts)
-            trace.messages(rnd, [ids[i] for i in announcers for _ in nbrs[i]],
+            trace.messages(rnd, [ids[i] for i in announcers],
+                           [len(nbrs[i]) for i in announcers],
                            [ids[j] for i in announcers for j in nbrs[i]],
                            [awake_in[j] == s for i in announcers for j in nbrs[i]])
         rounds = rnd

@@ -143,11 +143,12 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
 
     awake = {v: 0 for v in instance.graph.nodes}
     term: dict[int, int | None] = {v: None for v in instance.graph.nodes}
-    rounds = trace.node_round
-    for rnd, v, act in zip(rounds, trace.node_id, trace.node_act):
+    per_round: dict[int, int] = {}
+    for rnd, v, act in trace.node_events:
         if v not in awake:
             raise InternalError(f"trace mentions unknown node {format_decimal(v)}")
         awake[v] += 1
+        per_round[rnd] = per_round.get(rnd, 0) + 1
         if act == "term":
             if term[v] is not None:
                 raise InternalError(f"node {format_decimal(v)} terminated twice in trace")
@@ -171,9 +172,9 @@ def collect(trace, coloring: Coloring, instance: ColoringInstance, config) -> Ru
 
     phase_awake = {1: 0, 2: 0, 3: 0}
     phase_rounds = {1: 0, 2: 0, 3: 0}
-    for rnd in rounds:
+    for rnd, events in per_round.items():
         p = phase_for(rnd)
-        phase_awake[p] += 1
+        phase_awake[p] += events
         base = 0 if p == 1 else (s2 if p == 2 else s3)
         phase_rounds[p] = max(phase_rounds[p], rnd - base)
 

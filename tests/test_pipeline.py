@@ -219,7 +219,7 @@ def _without_term_of_node_0(trace):
         if not (e[1] == 0 and e[2] == "term"):
             kept.nodes(e[0], [e[1]], [e[2]])
     for e in trace.msg_events:
-        kept.messages(e[0], [e[1]], [e[2]], [e[3]])
+        kept.messages(e[0], [e[1]], [1], [e[2]], [e[3]])
     return kept
 
 
@@ -438,8 +438,9 @@ def test_read_instance_peak_memory_per_node(tmp_path):
 def test_trace_costs_few_bytes_per_event(overrides):
     # tracemalloc peak of a traced run_pipeline over an untraced one, per
     # event, on gnp 4096, expected degree 8, seed 3: 75.7 (default) and
-    # 79.4 B (residual) with one tuple per event, 23.7 and 19.5 B with the
-    # events held as columns; the bound sits between the two
+    # 79.4 B (residual) with one tuple per event, 23.8 and 22.3 B with the
+    # events held as columns, 10.0 and 10.0 B with each round and each
+    # message sender held once per run; the bound sits between the last two
     n = 4096
     inst = make_default_instance(generate("gnp", n, seed=3, param=8 / n))
     cfg = PipelineConfig(seed=3, **overrides)
@@ -455,7 +456,7 @@ def test_trace_costs_few_bytes_per_event(overrides):
         peaks.append(peak)
     events = len(trace.node_events) + len(trace.msg_events)
     assert events > 100_000
-    assert (peaks[1] - peaks[0]) / events <= 40
+    assert (peaks[1] - peaks[0]) / events <= 16
 
 
 def test_run_retains_little_beyond_the_instance():

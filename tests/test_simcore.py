@@ -247,8 +247,8 @@ def test_no_causality_leak_from_undelivered_messages():
 def test_render_text_is_pinned():
     # each kind in ascending rounds, the kinds interleaved across rounds
     trace = Trace(round_offset=10)
-    trace.messages(1, [0], [1], [True])
-    trace.messages(2, [1], [0], [False])
+    trace.messages(1, [0], [1], [1], [True])
+    trace.messages(2, [1], [1], [0], [False])
     trace.nodes(1, [0], ["sleep:1"])
     trace.nodes(2, [1], ["send"])
     trace.nodes(2, [0], ["term"])
@@ -278,31 +278,37 @@ def test_render_equals_the_grouping_reference(node_events, msg_events):
     for e in sorted(node_events, key=itemgetter(0)):
         trace.nodes(e[0], [e[1]], [e[2]])
     for e in sorted(msg_events, key=itemgetter(0)):
-        trace.messages(e[0], [e[1]], [e[2]], [e[3]])
+        trace.messages(e[0], [e[1]], [1], [e[2]], [e[3]])
     text = trace.render()
     assert text == reference_render(trace)
     assert text == "".join(trace.chunks())
 
 
 def test_a_round_past_one_piece_renders_in_pieces():
-    # 2 * 4096 + 5 events of each kind in round 3, then one of each in round 4
+    # 2 * 4096 + 5 events of each kind in round 3, then one of each in round
+    # 4; in round 3, sender 1 sends 4097 messages from the 4,095th on, so its
+    # run straddles the first piece's end
     trace = Trace()
     big = 2 * 4096 + 5
     trace.nodes(3, list(range(big)), ["send"] * big)
-    trace.messages(3, list(range(big)), list(range(1, big + 1)), [k % 3 == 0 for k in range(big)])
+    fanout = [1] * 4094 + [4097] + [1] * (big - 4094 - 4097)
+    trace.messages(3, [0] * 4094 + [1] + list(range(2, 2 + big - 4094 - 4097)), fanout,
+                   list(range(1, big + 1)), [k % 3 == 0 for k in range(big)])
     trace.nodes(4, [7], ["term"])
-    trace.messages(4, [7], [8], [False])
+    trace.messages(4, [7], [1], [8], [False])
     pieces = list(trace.chunks())
     assert [p.count("\n") for p in pieces] == [4096, 4096, 5, 4096, 4096, 5, 1, 1]
+    assert pieces[3].endswith("msg t=3 1->4096 delivered=1\n")
+    assert pieces[4].startswith("msg t=3 1->4097 delivered=0\n")
     assert "".join(pieces) == reference_render(trace)
 
 
 def test_event_views_read_the_columns():
     trace = Trace(round_offset=10)
     trace.nodes(1, [0], ["send"])
-    trace.messages(1, [0], [2**70], [True])
+    trace.messages(1, [0], [1], [2**70], [True])
     trace.nodes(2, [0, 2**70], ["term", "sleep:3"])
-    trace.messages(2, [2**70, 2**70], [0, 5], b"\0\1")
+    trace.messages(2, [2**70], [2], [0, 5], b"\0\1")
     nodes, msgs = trace.node_events, trace.msg_events
     assert len(nodes) == 3 and len(msgs) == 3
     assert list(nodes) == [(11, 0, "send"), (12, 0, "term"), (12, 2**70, "sleep:3")]
@@ -321,20 +327,37 @@ def test_event_views_read_the_columns():
 def test_each_kind_refuses_a_round_below_its_last():
     trace = Trace(round_offset=10)
     trace.nodes(2, [0], ["send"])
-    trace.messages(3, [0], [1], [True])
+    trace.messages(3, [0], [1], [1], [True])
     trace.nodes(2, [1], ["cont"])     # the same round again, below the messages' last
-    trace.messages(3, [1], [0], [False])
-    columns = lambda: (list(trace.node_round), list(trace.node_id), list(trace.node_act),
-                       list(trace.msg_round), list(trace.msg_sender),
+    trace.messages(3, [1], [1], [0], [False])
+    columns = lambda: (list(trace.node_rounds), list(trace.node_ends), list(trace.node_id),
+                       list(trace.node_act), list(trace.msg_rounds), list(trace.msg_ends),
+                       list(trace.msg_sender), list(trace.msg_fanout),
                        list(trace.msg_receiver), bytes(trace.msg_delivered))
     before = columns()
+    assert before[:2] == ([12], [2]) and before[4:6] == ([13], [2])
     with pytest.raises(ValueError, match="node events of round 11 recorded after round 12"):
         trace.nodes(1, [5], ["term"])
     with pytest.raises(ValueError, match="message events of round 12 recorded after round 13"):
-        trace.messages(2, [5], [6], [True])
+        trace.messages(2, [5], [1], [6], [True])
+    # a call with no events is refused below the last round too
+    with pytest.raises(ValueError, match="node events of round 11"):
+        trace.nodes(1, [], [])
+    with pytest.raises(ValueError, match="message events of round 12"):
+        trace.messages(2, [], [], [], [])
     trace.round_offset = 0                       # the offset counts: 12 is below 13
     with pytest.raises(ValueError, match="message events of round 12"):
-        trace.messages(12, [5], [6], [True])
+        trace.messages(12, [5], [1], [6], [True])
+    # so is a fanout that does not add up to the receivers
+    with pytest.raises(ValueError, match="1 receivers for 2 messages"):
+        trace.messages(13, [5], [2], [6], [True])
     assert columns() == before
-    trace.messages(13, [5], [6], [True])
-    assert list(trace.msg_round) == [13, 13, 13]
+    # and at or above it records nothing: no empty run, no text
+    text = trace.render()
+    trace.nodes(12, [], [])
+    trace.nodes(20, [], [])
+    trace.messages(13, [], [], [], b"")
+    trace.messages(20, [], [], [], b"")
+    assert columns() == before and trace.render() == text
+    trace.messages(13, [5], [1], [6], [True])
+    assert [e[0] for e in trace.msg_events] == [13, 13, 13] and trace.msg_rounds == [13]
