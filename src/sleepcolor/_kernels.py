@@ -3,15 +3,16 @@
 Going through the round engine costs an `Action`, a sends dict and a routed
 message per node-round, so this module runs the propose/resolve iteration
 directly on node positions, bit for bit: the same SplitMix64 streams, draw
-order and adoption rule as `Phase1Program` and `Phase2Program`.  Every
-proposing node takes words rnd + 1 (the coin) and rnd + 2 (the index) of
-its stream in the iteration that starts at round rnd, drawn on `rng`'s
-lanes, many streams per big-int operation.  `propose_resolve` is the
-iteration, and `run_iterations` the one loop around it for both phases:
-phase 2 runs it on the region around the high-degree nodes, and phase 1 is
-the region in which every node is in ring 1.  The Monte Carlo trials lay a
-chunk of lanes out as disjoint copies of the instance, one per trial, so one
-`propose_resolve` call resolves the whole chunk.  The engine stays the
+order and adoption rule as `Phase1Program`, the engine's one node program
+for both phases.  Every proposing node takes words rnd + 1 (the coin) and
+rnd + 2 (the index) of its stream in the iteration that starts at round
+rnd, drawn on `rng`'s lanes, many streams per big-int operation.
+`propose_resolve` is the iteration, and `run_iterations` the one loop
+around it for both phases: phase 2 runs it on the region around the
+high-degree nodes, and phase 1 is the region in which every node is in ring
+1.  The Monte Carlo trials lay a chunk of lanes out as disjoint copies of
+the instance, one per trial, so one `propose_resolve` call resolves the
+whole chunk.  The engine stays the
 reference; the tests compare the two.
 """
 
@@ -45,10 +46,10 @@ def instance_arrays(instance: ColoringInstance):
     return g.nodes, g.offsets, g.flat, list(instance.list_at)
 
 
-def out_of_colors(v: int, where: str = "(inadmissible instance?)"
-                  ) -> AlgorithmInvariantViolation:
-    """The error a proposer with an empty list raises: phase 1 on every path,
-    phase 2 (`where` = "in degree reduction") on both of its paths."""
+def out_of_colors(v: int, reducing: bool = False) -> AlgorithmInvariantViolation:
+    """The error a proposer with an empty list raises, worded for phase 2's
+    degree reduction iff `reducing`: iff its region has a core node."""
+    where = "in degree reduction" if reducing else "(inadmissible instance?)"
     return AlgorithmInvariantViolation(f"node {format_decimal(v)} ran out of colors {where}")
 
 
@@ -112,9 +113,9 @@ def propose_resolve(live, coins, words, lists, offsets, flat, proposal) -> list[
 
 
 def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations: int,
-                   seed: int, trace=None, where: str = "(inadmissible instance?)"):
-    """The engine's `Phase2Program` run on the region that `roles` marks, for
-    at most `iterations` iterations; its `Phase1Program` run if all are ring 1.
+                   seed: int, trace=None):
+    """The engine's `Phase1Program` run on the region that `roles` marks, for
+    at most `iterations` iterations: phase 2, or phase 1 if all are ring 1.
 
     roles[i] is CORE, RING1 or RING2 for the region's positions and None
     elsewhere; every neighbor of a core or ring1 node is in the region.
@@ -127,9 +128,10 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     the lists of the neighbors awake in its resolve round; an awake node
     that neither proposed nor heard a proposal sleeps out the window
     (2*iterations rounds); a proposer with an empty list raises
-    `out_of_colors(v, where)`.  A `Trace` gets the engine's events: node
-    events in id order per round, message events in (sender, receiver)
-    order, delivered iff the receiver was awake.
+    `out_of_colors`, worded for degree reduction iff there is a core node.
+    A `Trace` gets the engine's events: node events in id order per round,
+    message events in (sender, receiver) order, delivered iff the receiver
+    was awake.
 
     Ring1 nodes always propose, ring2 nodes never, and a core node while its
     degree (its neighbors minus the adoptions it heard) is at least
@@ -160,7 +162,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
         if emptied:
             for i in live:
                 if not lists[i]:
-                    raise out_of_colors(ids[i], where)
+                    raise out_of_colors(ids[i], bool(core))
             emptied = False  # the emptied lists belong to nodes that never propose again
         coins, words = _live_draws(state, live, rnd + 1)
         adopters = propose_resolve(live, coins, words, lists, off, flat, proposal)

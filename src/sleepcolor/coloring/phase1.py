@@ -13,8 +13,10 @@ always computed over the current list.
 `run_phase1` runs this on node positions through `_kernels.run_iterations`,
 the one loop for phases 1 and 2: phase 1 is phase 2's region with every
 node in ring 1, where a node proposes in every iteration until it adopts.
-`simulate_phase1` runs `Phase1Program` through the round engine; it is the
-reference the kernel must match bit for bit, trace included.
+`Phase1Program` is the round engine's one node program for both phases, so
+given phase 2's roles it runs phase 2.  `simulate_phase1` runs it through
+the round engine; it is the reference the kernel must match bit for bit,
+trace included.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import _kernels
+from .._kernels import CORE, RING1
 from ..graph import ColorView, ColoringInstance
 from ..simcore import Action, Trace, run_simulation
 
@@ -32,45 +35,65 @@ ADOPT = "adopt"
 @dataclass
 class Phase1State:
     remaining: list[int]
+    degree: int                 # uncolored neighbors, tracked from adoptions
+    role: str
     proposal: int = 0
-    proposing: bool = True
+    proposed: bool = False
+    proposing_round: bool = True
 
 
 class Phase1Program:
-    """Node program running `iterations` propose/resolve iterations."""
+    """Node program running at most `iterations` propose/resolve iterations.
 
-    def __init__(self, iterations: int):
+    `roles` maps id -> CORE, RING1 or RING2, phase 2's region (see
+    `coloring.phase2`); with no roles every node is in ring 1, which is
+    phase 1.
+    """
+
+    def __init__(self, iterations: int, threshold: int = 0, roles=None):
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.iterations = iterations
+        self.threshold = threshold
+        self.roles = roles
+        self.reducing = roles is not None and CORE in roles.values()
 
     def initial_state(self, ctx) -> Phase1State:
-        return Phase1State(remaining=list(ctx.input))
+        role = RING1 if self.roles is None else self.roles[ctx.node_id]
+        return Phase1State(list(ctx.input), len(ctx.neighbors), role)
 
     def on_round(self, ctx, inbox) -> Action:
         st: Phase1State = ctx.state
-        if st.proposing:
+        if st.proposing_round:
             if inbox:
-                taken = {color for kind, color in inbox if kind == ADOPT}
+                taken = [color for kind, color in inbox if kind == ADOPT]
                 if taken:
                     st.remaining = [c for c in st.remaining if c not in taken]
+                    st.degree -= len(taken)
+            st.proposed = st.role == RING1 or (
+                st.role == CORE and st.degree >= self.threshold)
+            st.proposing_round = False
+            if not st.proposed:
+                return Action()
             if not st.remaining:
-                raise _kernels.out_of_colors(ctx.node_id)
+                raise _kernels.out_of_colors(ctx.node_id, self.reducing)
             zero = ctx.rng.coin()
             idx = ctx.rng.randrange(len(st.remaining))
             st.proposal = 0 if zero else st.remaining[idx]
-            st.proposing = False
             msg = (PROPOSE, st.proposal)
             return Action(sends={u: msg for u in ctx.neighbors})
-        seen = {color for kind, color in inbox}
-        if st.proposal != 0 and st.proposal not in seen:
+        heard = {color for kind, color in inbox if kind == PROPOSE}
+        if st.proposed and st.proposal != 0 and st.proposal not in heard:
             msg = (ADOPT, st.proposal)
             return Action(
                 sends={u: msg for u in ctx.neighbors},
                 terminate=True,
                 output=st.proposal,
             )
-        st.proposing = True
+        if not heard and not st.proposed:
+            # no active proposer around: sleep out the rest of the window
+            return Action(sleep_rounds=2 * self.iterations - ctx.round)
+        st.proposing_round = True
         return Action()
 
 
@@ -118,7 +141,7 @@ def run_phase1(
     1, which gives the same outcome and trace as `simulate_phase1`, the
     round engine's run.
     """
-    return _kernel_run(instance, [_kernels.RING1] * instance.graph.node_count, 0,
+    return _kernel_run(instance, [RING1] * instance.graph.node_count, 0,
                        iterations, seed, trace=trace)
 
 

@@ -21,76 +21,18 @@ message-passing deployment would run.
 
 `run_phase2` runs this on node positions through `_kernels.run_iterations`,
 the same loop that runs phase 1 (phase 1 is the region in which every node
-is in ring 1).  `simulate_phase2` runs `Phase2Program` through the round
-engine; it is the reference the kernel must match bit for bit, trace
-included.  Both take the region and build the residual in
-`_degree_reduction`.
+is in ring 1).  `simulate_phase2` runs phase 1's node program,
+`Phase1Program` with the region's roles, through the round engine; it is
+the reference the kernel must match bit for bit, trace included.  Both
+take the region and build the residual in `_degree_reduction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .. import _kernels
 from .._kernels import CORE, RING1, RING2
 from ..graph import ColoringInstance
-from ..simcore import Action, Trace, run_simulation
-from .phase1 import ADOPT, PROPOSE, PhaseOutcome, _engine_run, _kernel_run
-
-
-@dataclass
-class Phase2State:
-    remaining: list[int]
-    role: str
-    degree: int                 # current uncolored degree (tracked from adopts)
-    proposal: int = 0
-    proposed: bool = False
-    proposing_round: bool = True
-
-
-class Phase2Program:
-    def __init__(self, threshold: int, iteration_cap: int):
-        self.threshold = threshold
-        self.iteration_cap = iteration_cap
-
-    def initial_state(self, ctx) -> Phase2State:
-        colors, role, degree = ctx.input
-        return Phase2State(remaining=list(colors), role=role, degree=degree)
-
-    def on_round(self, ctx, inbox) -> Action:
-        st: Phase2State = ctx.state
-        if st.proposing_round:
-            if inbox:
-                taken = {color for kind, color in inbox if kind == ADOPT}
-                if taken:
-                    st.remaining = [c for c in st.remaining if c not in taken]
-                    st.degree -= sum(1 for kind, _ in inbox if kind == ADOPT)
-            st.proposed = (
-                st.role == RING1 or (st.role == CORE and st.degree >= self.threshold)
-            )
-            st.proposing_round = False
-            if st.proposed:
-                if not st.remaining:
-                    raise _kernels.out_of_colors(ctx.node_id, "in degree reduction")
-                zero = ctx.rng.coin()
-                idx = ctx.rng.randrange(len(st.remaining))
-                st.proposal = 0 if zero else st.remaining[idx]
-                msg = (PROPOSE, st.proposal)
-                return Action(sends={u: msg for u in ctx.neighbors})
-            return Action()
-        heard = [color for kind, color in inbox if kind == PROPOSE]
-        if st.proposed and st.proposal != 0 and st.proposal not in set(heard):
-            msg = (ADOPT, st.proposal)
-            return Action(
-                sends={u: msg for u in ctx.neighbors},
-                terminate=True,
-                output=st.proposal,
-            )
-        if not heard and not st.proposed:
-            # no active proposer around: sleep out the rest of the window
-            return Action(sleep_rounds=2 * self.iteration_cap - ctx.round)
-        st.proposing_round = True
-        return Action()
+from ..simcore import Trace, run_simulation
+from .phase1 import Phase1Program, PhaseOutcome, _engine_run, _kernel_run
 
 
 def run_phase2(
@@ -111,7 +53,7 @@ def run_phase2(
     return _degree_reduction(
         residual, threshold, iteration_cap,
         lambda roles: _kernel_run(residual, roles, threshold, iteration_cap, seed,
-                                  trace=trace, where="in degree reduction"),
+                                  trace=trace),
     )
 
 
@@ -124,7 +66,8 @@ def simulate_phase2(
 ) -> PhaseOutcome:
     """Phase 2 driven by the round engine: the reference `run_phase2` matches.
 
-    `Phase2Program` runs on the region's induced graph; survivors' buffered
+    `Phase1Program` runs with the region's roles on its induced graph, so a
+    node's starting degree is its region degree; survivors' buffered
     adoption messages are folded into their lists.
     """
     graph = residual.graph
@@ -134,9 +77,9 @@ def simulate_phase2(
         region = graph.induced(keep)
         result = run_simulation(
             region,
-            Phase2Program(threshold, iteration_cap),
-            inputs={v: (residual.list_at[i], roles[i], d)
-                    for v, i, d in zip(region.nodes, keep, region.degrees())},
+            Phase1Program(iteration_cap, threshold,
+                          dict(zip(region.nodes, [roles[i] for i in keep]))),
+            inputs=dict(zip(region.nodes, [residual.list_at[i] for i in keep])),
             seed=seed,
             round_cap=2 * iteration_cap,
             trace=trace,

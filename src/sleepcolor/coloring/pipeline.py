@@ -154,7 +154,7 @@ def run_pipeline(
         )
         where = fold(p2, 2, s2)
         residual = p2.residual
-        phase2_incomplete = bool(p2.extra.get("incomplete"))
+        phase2_incomplete = p2.extra["incomplete"]
 
     phase3_classes = 0
     if residual is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -200,8 +201,6 @@ def nearest_rank(sorted_values: Sequence, q: float):
     """Nearest-rank quantile: the ceil(q*N)-th smallest value."""
     if not sorted_values:
         raise UsageError("quantile of empty data")
-    import math
-
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
 

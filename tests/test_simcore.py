@@ -127,6 +127,18 @@ def test_send_to_non_neighbor_raises():
         run_simulation(g, Bad(), None, seed=1, round_cap=5)
 
 
+@pytest.mark.parametrize("script,round_cap,match", [
+    (lambda ctx: Action(terminate=True, sleep_rounds=1), 5,
+     "an action cannot both sleep and terminate"),
+    (lambda ctx: Action(sleep_rounds=-1), 5, "sleep_rounds must be >= 1 when sleeping"),
+    (Action(terminate=True), 0, "round_cap must be >= 1"),
+], ids=["sleep_and_terminate", "negative_sleep", "round_cap_0"])
+def test_contract_breaches_raise_program_error(script, round_cap, match):
+    g = build_graph([], [0])
+    with pytest.raises(ProgramError, match=match):
+        run_simulation(g, Scripted({0: [script]}), None, seed=1, round_cap=round_cap)
+
+
 def test_a_round_that_raises_records_no_event():
     # round 2: node 0 sends to 1, which is routed first, then the isolated
     # node 2 sends to 0; the trace keeps round 1 and nothing of round 2
