@@ -15,6 +15,13 @@ and `induced` read them.  The id-keyed forms are derived, for callers at the
 edges: `Graph.adjacency`, which the round engine and the node programs use,
 is built on first use, and `ColoringInstance.lists` and `Coloring.assignment`
 are read-only views that find an id's position with `position`.
+
+Rows are built in two layers.  `_rows` is the core: it takes the edges as
+two columns of end positions, checks them for repeats and fills the rows.
+`build_graph` is its id front end, which `.dlc` files and every caller with
+ids of its own use: it checks the ids and maps each edge's ends to
+positions.  The generators make their ids as positions 0..n-1, so they hand
+`_rows` ascending columns directly, with no id map and no tuple per edge.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, pairwise, repeat, starmap
-from operator import add, lt, mul, sub
+from operator import add, floordiv, lt, mod, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InstanceError, ParseError
@@ -159,15 +166,11 @@ def _graph(nodes: tuple[int, ...], offsets: array, flat: array) -> Graph:
 def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Graph:
     """Build a graph from explicit edges, consumed in one pass, and node ids.
 
-    Rejects duplicate ids, self-loops, edges touching unknown ids (each in
-    the order the edges come) and then duplicate edges, after normalizing
-    orientation: the smallest one, by its ends' positions.  Isolated nodes
-    are fine.
-
-    The edges are kept as two columns of end positions, the smaller end
-    first, and sorted unless they already ascend, as generated edges do.
-    One pass over them in that order then fills every row in ascending
-    order: a node hears from its lower neighbors before its higher ones.
+    The id front end of `_rows`: it rejects duplicate ids and negative ids,
+    then self-loops and edges touching unknown ids (each in the order the
+    edges come), and maps every edge to its ends' positions, the smaller
+    end first.  `_rows` then rejects duplicate edges, the smallest one by
+    its ends' positions, and fills the rows.  Isolated nodes are fine.
     """
     if not node_ids:
         raise InstanceError("a graph needs at least one node")
@@ -196,7 +199,20 @@ def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Gr
             lo_append(j)
             hi_append(i)
     del positions
+    return _rows(nodes, lo, hi)
 
+
+def _rows(nodes: tuple[int, ...], lo: array, hi: array) -> Graph:
+    """The graph on the sorted distinct ids `nodes` whose edge e joins the
+    positions lo[e] < hi[e]: the position-column core of `build_graph`,
+    which the generators call directly, since they make their ids as
+    positions 0..n-1.
+
+    Unless the columns already ascend strictly, as generated edges do, they
+    are sorted in place, and a repeated edge is refused: the smallest one.
+    One pass over them in that order then fills every row in ascending
+    order: a node hears from its lower neighbors before its higher ones.
+    """
     n = len(nodes)
     if not all(starmap(lt, pairwise(zip(lo, hi)))):      # not strictly ascending
         keys = sorted(map(add, map(mul, lo, repeat(n)), hi))    # edge (i, j) as i*n + j
@@ -205,8 +221,9 @@ def build_graph(edges: Iterable[tuple[int, int]], node_ids: Sequence[int]) -> Gr
                 i, j = divmod(a, n)
                 raise InstanceError(f"duplicate edge ({format_decimal(nodes[i])},"
                                     f"{format_decimal(nodes[j])})")
-        lo = array("i", [k // n for k in keys])
-        hi = array("i", [k % n for k in keys])
+        # one column at a time, so one temporary array is alive, not two
+        lo[:] = array("i", map(floordiv, keys, repeat(n)))
+        hi[:] = array("i", map(mod, keys, repeat(n)))
         del keys
 
     degree = [0] * n
@@ -312,43 +329,53 @@ def generate(family: str, n: int, seed: int, param: float | None = None) -> Grap
 
     Deterministic: the same (family, n, seed, param) always yields the same
     graph.  `param` is the edge probability for gnp and the degree for
-    regular; the other families ignore it.
+    regular; the other families ignore it.  The ids are 0..n-1, and each
+    family hands `_rows` its edges as ascending position columns.
     """
     if n < 1:
         raise InstanceError("n must be >= 1")
     if n > sys.maxsize:                          # more ids than a list can hold
         raise InstanceError(f"n must be at most {sys.maxsize}")
-    ids = list(range(n))
     if family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
+        columns = array("i", range(n - 1)), array("i", range(1, n))
     elif family == "cycle":
         if n < 3:
             raise InstanceError("a cycle needs n >= 3")
-        edges = [(i, (i + 1) % n) for i in range(n)]
+        # (0, 1), (0, n - 1), (1, 2), (2, 3), ..., (n - 2, n - 1)
+        columns = array("i", [0, *range(n - 1)]), array("i", [1, n - 1, *range(2, n)])
     elif family == "clique":
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        columns = _clique_columns(n)
     elif family == "star":
-        edges = [(0, i) for i in range(1, n)]
+        columns = array("i", bytes(4 * (n - 1))), array("i", range(1, n))
     elif family == "gnp":
         if param is None:
             raise InstanceError("gnp needs an edge probability parameter")
-        edges = _gnp_edges(n, float(param), seed)
+        columns = _gnp_edges(n, float(param), seed)
     elif family == "regular":
         if param is None:
             raise InstanceError("regular needs a degree parameter")
         if not float(param).is_integer():
             raise InstanceError(f"regular needs an integer degree, got {param}")
-        edges = _regular_edges(n, int(param), seed)
+        columns = _regular_edges(n, int(param), seed)
     else:
         raise InstanceError(f"unknown family {family!r}")
-    return build_graph(edges, ids)
+    return _rows(tuple(range(n)), *columns)
 
 
-def _gnp_edges(n: int, p: float, seed: int) -> Iterator[tuple[int, int]]:
+def _clique_columns(n: int) -> tuple[array, array]:
+    """Every pair (i, j), i < j, in ascending order, as two columns."""
+    lo, hi = array("i"), array("i")
+    for i in range(n - 1):
+        lo.extend(repeat(i, n - 1 - i))
+        hi.extend(range(i + 1, n))
+    return lo, hi
+
+
+def _gnp_edges(n: int, p: float, seed: int) -> tuple[array, array]:
     """G(n,p) by geometric gap-skipping over the C(n,2) pair indexes.
 
-    Yields the edges in ascending pair rank, so `build_graph` consumes them
-    as they are drawn and no edge list is held.
+    Returns the edges as two columns of positions, lo[e] < hi[e], in
+    ascending pair rank, which is the order `_rows` takes without a sort.
 
     The gaps come from one SplitMix64 stream (the generator's, see
     `_GEN_STREAM`), word after word, each turned into a uniform in [0, 1)
@@ -358,81 +385,122 @@ def _gnp_edges(n: int, p: float, seed: int) -> Iterator[tuple[int, int]]:
     """
     if not 0.0 <= p <= 1.0:
         raise InstanceError("gnp probability must be in [0,1]")
+    lo, hi = array("i"), array("i")
     if p == 0.0 or n < 2:
-        return
+        return lo, hi
     if p == 1.0:
-        yield from ((i, j) for i in range(n) for j in range(i + 1, n))
-        return
-    log1p = math.log(1.0 - p)
+        return _clique_columns(n)
+    # log(1 - p) is 0.0 once 1 - p rounds to 1.0 (p <= 2**-54); log1p is not
+    log1p = math.log(1.0 - p) or math.log1p(-p)
     total = n * (n - 1) // 2
     expected = p * total + 1                       # draws: one per edge, one past the end
     lanes = Lanes(min(_GNP_BATCH, int(expected + 4 * math.sqrt(expected)) + 16))
     # lane L draws words L + 1, L + 1 + k, L + 1 + 2k, ... of the stream
     states = lanes.consecutive(stream_state(seed, _GEN_STREAM))
+    lo_append, hi_append, log = lo.append, hi.append, math.log
     k = -1
-    # decode increasing pair ranks (i, j) incrementally: O(n + m) overall
+    # decode increasing pair ranks incrementally, O(n + m) overall: row i
+    # holds the ranks below row_end, and rank k in it is the pair (i, k + shift)
     i = 0
-    row_start = 0
-    row_len = n - 1
+    row_end = n - 1
+    shift = 1
     while True:
         for w in lanes.words(lanes.mix(states) >> 11):
-            # gap ~ Geometric(p): number of skipped pairs before the next edge
-            k += 1 + int(math.log(1.0 - w * 2.0 ** -53) / log1p)
+            # gap ~ Geometric(p): number of skipped pairs before the next edge;
+            # a gap too large for a float (p near 5e-324) is past the end too
+            try:
+                k += 1 + int(log(1.0 - w * 2.0 ** -53) / log1p)
+            except OverflowError:
+                return lo, hi
             if k >= total:
-                return
-            while k - row_start >= row_len:
-                row_start += row_len
+                return lo, hi
+            while k >= row_end:
                 i += 1
-                row_len -= 1
-            yield i, i + 1 + (k - row_start)
+                shift = i + 1 - row_end
+                row_end += n - 1 - i
+            lo_append(i)
+            hi_append(k + shift)
         states = lanes.advance(states, lanes.k)
 
 
-def _regular_edges(n: int, d: int, seed: int) -> list[tuple[int, int]]:
-    """A simple d-regular graph via stub matching with restarts.
+def _regular_edges(n: int, d: int, seed: int) -> tuple[array, array]:
+    """A simple d-regular graph via stub matching with restarts, as two
+    ascending columns of positions, lo[e] < hi[e].
 
     Not the uniform distribution over d-regular graphs, but a valid and
     deterministic member of the family, which is all the harness needs.
+
+    Each attempt shuffles the n*d stubs, then matches the last unmatched
+    stub with a random unmatched one that keeps the graph simple.  A
+    Fenwick tree over the unmatched stubs finds the idx-th of them in
+    O(log(n*d)) steps, where popping it from a list would shift the rest.
     """
     if d < 0 or d >= n:
         raise InstanceError("regular needs 0 <= d < n")
     if (n * d) % 2 != 0:
         raise InstanceError("regular needs n*d even")
     if d == 0:
-        return []
+        return array("i"), array("i")
     rng = NodeRng(seed, _GEN_STREAM)
+    size = n * d
+    top_bit = 1 << (size.bit_length() - 1)
     for _attempt in range(200):
         stubs = [v for v in range(n) for _ in range(d)]
         # Fisher-Yates with the node stream
-        for i in range(len(stubs) - 1, 0, -1):
+        for i in range(size - 1, 0, -1):
             j = rng.randrange(i + 1)
             stubs[i], stubs[j] = stubs[j], stubs[i]
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        while stubs and ok:
-            u = stubs.pop()
+        unmatched = bytearray(b"\x01") * size
+        # tree[t] counts the unmatched stubs in stubs[t - (t & -t):t]; the
+        # last unmatched stub is taken without an update, since no search
+        # reaches past it again
+        tree = [t & -t for t in range(size + 1)]
+        top = size                               # stubs[top:] are all matched
+        left = size                              # unmatched stubs
+        edges: set[int] = set()                  # u * n + w for each edge, u < w
+        while left:
+            top -= 1
+            while not unmatched[top]:
+                top -= 1
+            u = stubs[top]
+            unmatched[top] = 0
+            left -= 1
             # find a partner stub that keeps the graph simple
-            pick = None
+            pick = -1
             for _try in range(80):
-                idx = rng.randrange(len(stubs))
-                w = stubs[idx]
-                key = (u, w) if u < w else (w, u)
+                idx = rng.randrange(left)
+                pos, bit = 0, top_bit            # the idx-th unmatched stub
+                while bit:
+                    t = pos + bit
+                    if t <= size and tree[t] <= idx:
+                        pos = t
+                        idx -= tree[t]
+                    bit >>= 1
+                w = stubs[pos]
+                key = u * n + w if u < w else w * n + u
                 if w != u and key not in edges:
-                    pick = idx
+                    pick = pos
                     break
-            if pick is None:
-                for idx, w in enumerate(stubs):
-                    key = (u, w) if u < w else (w, u)
+            if pick < 0:
+                for pos in compress(range(top), unmatched):
+                    w = stubs[pos]
+                    key = u * n + w if u < w else w * n + u
                     if w != u and key not in edges:
-                        pick = idx
+                        pick = pos
                         break
-            if pick is None:
-                ok = False
+            if pick < 0:
                 break
-            w = stubs.pop(pick)
-            edges.add((u, w) if u < w else (w, u))
-        if ok:
-            return sorted(edges)
+            unmatched[pick] = 0
+            left -= 1
+            t = pick + 1
+            while t <= size:
+                tree[t] -= 1
+                t += t & -t
+            edges.add(key)
+        else:
+            keys = sorted(edges)
+            return (array("i", map(floordiv, keys, repeat(n))),
+                    array("i", map(mod, keys, repeat(n))))
     raise InstanceError(f"could not realize a simple {d}-regular graph on {n} nodes")
 
 

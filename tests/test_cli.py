@@ -48,6 +48,20 @@ def test_run_cycle_sweep_all_valid(tmp_path, capsys):
     assert all(row.split(",")[9] == "1" for row in rows)      # valid column
 
 
+@pytest.mark.parametrize("p", ["1e-17", "5.551115123125783e-17", "5e-324"])
+def test_run_gnp_where_one_minus_p_rounds_to_one(tmp_path, capsys, p):
+    # 1 - p rounds to 1.0 for p <= 2**-54, so log(1 - p) is 0.0 and the gaps
+    # divide by log1p(-p); at 5e-324 the gap overflows a float
+    out = tmp_path / "r.csv"
+    code, _, err = run_cli(["run", "--family", "gnp", "--n", "100", "--param", p,
+                            "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+    assert row.split(",")[9] == "1"                          # valid column
+    for seed in (0, 1, 2**64 - 1):
+        assert generate("gnp", 100, seed, float(p)).edge_count() == 0, seed
+
+
 def test_run_inadmissible_instance_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.dlc"
     bad.write_text("dlc 1 2 1\nnode 0 1\nnode 1 2\nedge 0 1\n")

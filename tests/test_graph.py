@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from sleepcolor.errors import InstanceError, ParseError
 from sleepcolor.graph import (
     _GNP_BATCH,
     _gnp_edges,
+    _regular_edges,
     build_graph,
     decimal_ints,
     format_decimal,
@@ -67,7 +69,8 @@ def test_build_graph_peak_memory():
     # list and its tuple were alive at once, 3.7 MB with each list replaced
     # by its tuple after its duplicate scan; the bound sits between the two
     n = 2**14
-    edges, ids = list(_gnp_edges(n, 8 / n, 1)), list(range(n))
+    lo, hi = _gnp_edges(n, 8 / n, 1)
+    edges, ids = list(zip(lo, hi)), list(range(n))
     tracemalloc.start()
     try:
         g = build_graph(edges, ids)
@@ -150,7 +153,8 @@ def test_gnp_edges_equal_the_scalar_reference(n):
         if p * n * (n - 1) / 2 > 50_000:          # keep every case cheap
             continue
         for seed in (0, 1, 2**64 - 1):
-            edges = list(_gnp_edges(n, p, seed))
+            lo, hi = _gnp_edges(n, p, seed)
+            edges = list(zip(lo, hi))
             assert edges == reference_gnp_edges(n, p, seed), (n, p, seed)
             # one draw per edge and one past the last pair
             spans_three_batches |= len(edges) + 1 > 2 * _GNP_BATCH
@@ -158,7 +162,7 @@ def test_gnp_edges_equal_the_scalar_reference(n):
 
 
 def test_gnp_probability_outside_the_unit_interval_rejected():
-    # the edges stream into build_graph, which raises on the first draw
+    # _gnp_edges checks p before it draws
     for p in (1.5, -0.1):
         with pytest.raises(InstanceError, match="probability must be in"):
             generate("gnp", 16, 0, p)
@@ -175,6 +179,69 @@ def test_regular_parameter_validation():
         generate("regular", 5, seed=0, param=3)       # odd n*d
     with pytest.raises(InstanceError):
         generate("regular", 4, seed=0, param=4)       # d >= n
+
+
+# SHA-256 of repr(edge list) from `_regular_edges` before it found stubs with a
+# Fenwick tree: (8, 6) and (10, 8) restart, (12, 10, 257) and (20, 16, 62)
+# also match one stub by the fallback scan
+_REGULAR_EDGES_SHA = {
+    (8, 6, 0): "919264342add001b9871d53fdddeb783272144b8eea891b3443435f24a4e19b2",
+    (8, 6, 3): "d08bbfcd35f73c9f9b738c6e6de36fa039c73c51e65f87adce1e378be7d23cdc",
+    (10, 8, 2): "ec7d0c0f693deeab306ab008b4849d8b6dddf0820c7228a60a5f3816c6816830",
+    (10, 8, 4): "2f7fd5f2fa8d73e5f58851b351aa6eb2a8682f03d2769ec07e4b271e65b9d4a4",
+    (12, 10, 257): "642be01f3374b11726d746ce5e551818184a07de0588335fc7b63fddf061fc25",
+    (20, 16, 62): "6b13d20f975f1fef67aa5c57b249aa551ac39a85807e2b0d8d80f2068aa26353",
+    (16, 3, 1): "ab2bbcd9dcf7664b02946f4de8a3e8cfb09bc3e1b45a222c5cf079b9a8991d69",
+    (64, 8, 5): "bc6a41224ea49fa8844de91e2ed0f856a497f80e612c12d9c57f8eedd40e61f2",
+    (1000, 7, 2): "f5a0673fadcd1453e798cf11565c9fb4593c4b862cbb6f9e0c66f450dcff57fe",
+    (4096, 8, 1): "1d68a89c65aa3efbf5b5c9e3a024760a2150fc093f77782c8eed01dd9cabe487",
+}
+
+
+@pytest.mark.parametrize("n,d,seed", sorted(_REGULAR_EDGES_SHA))
+def test_regular_edges_are_pinned(n, d, seed):
+    lo, hi = _regular_edges(n, d, seed)
+    edges = list(zip(lo, hi))
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == _REGULAR_EDGES_SHA[n, d, seed]
+
+
+# SHA-256 of repr((offsets, flat)) of `generate(family, n, 1, param)` when
+# every generator handed `build_graph` one tuple per edge
+_GENERATED_SHA = {
+    ("path", 1000, None): "459670fb6fbaa544b1efe4bc01a50b3c86973ebe2afdbf41ecfe933f72924117",
+    ("cycle", 1000, None): "3734959542b338458fa505c1a998a80cf680259224cba48cf178aeb1947bf6b0",
+    ("clique", 60, None): "743e54f0a86a41226d551b1b7c5064782b341e32f05e34aaf3a1af17c115cb0d",
+    ("star", 1000, None): "2b4ae2362624542a24cef4ce6ab340ea1efd9d300be66f7628673bf23dbe3cd4",
+    ("regular", 1000, 8): "fcd3f6e9d6f685b6054212d64a1d72102444f65065d2d4fb094b31aa73694080",
+    ("gnp", 2**16, 8 / 2**16): "bd38226796e4b6cd1ff5876dcfe1752381588cf15861c41ee8cdcc6e2e9445c3",
+}
+
+
+@pytest.mark.parametrize("family,n,param", list(_GENERATED_SHA))
+def test_generated_rows_are_pinned(family, n, param):
+    g = generate(family, n, 1, param)
+    rows = repr((g.offsets.tolist(), g.flat.tolist()))
+    assert hashlib.sha256(rows.encode()).hexdigest() == _GENERATED_SHA[family, n, param]
+
+
+@pytest.mark.parametrize("family,param", [
+    ("path", None), ("cycle", None), ("clique", None), ("star", None),
+    ("gnp", 0.15), ("gnp", 1.0), ("regular", 4),
+])
+def test_generators_and_the_id_front_end_agree(family, param):
+    # the generators' presorted columns and build_graph's sort of the same
+    # edges, shuffled and randomly reoriented, give the same graph
+    for n in (3, 4, 9, 40, 101):
+        if family == "regular" and n <= param:
+            continue
+        for seed in (0, 1, 12345):
+            g = generate(family, n, seed, param)
+            rng = random.Random(seed * 1000 + n)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+            rng.shuffle(edges)
+            ids = list(g.nodes)
+            rng.shuffle(ids)
+            assert build_graph(edges, ids) == g, (family, n, seed)
 
 
 def test_unknown_family():
