@@ -10,24 +10,31 @@ rnd, drawn on `rng`'s lanes, many streams per big-int operation.
 `propose_resolve` is the iteration, and `run_iterations` the one loop
 around it for both phases: phase 2 runs it on the region around the
 high-degree nodes, and phase 1 is the region in which every node is in ring
-1.  The Monte Carlo trials lay a chunk of lanes out as disjoint copies of
-the instance, one per trial, so one `propose_resolve` call resolves the
-whole chunk.  The engine stays the
-reference; the tests compare the two.
+1.  The Monte Carlo trials draw the same words on lanes, one seed per
+trial, but resolve a batch of trials at once by columns: each node's coins
+over the batch become one int with a byte per trial, and each edge compares
+its two ends' color columns trial by trial (`_resolve_columns`).  The
+engine stays the reference; the tests compare the two.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, repeat
+from operator import eq, mod
 
 from .errors import AlgorithmInvariantViolation
 from .graph import ColoringInstance, format_decimal
-from .rng import Lanes, pack
+from .rng import Lanes, pack, salted_ids
 
 # Lanes per packed int (about 32 KB): large enough that the per-operation
 # overhead vanishes, small enough that the ints stay in cache.
 _CHUNK = 2048
+# Lanes of Monte Carlo trials resolved at once: enough trials per batch that
+# the per-node and per-edge overhead vanishes even when a chunk holds few.
+_BATCH = 16 * _CHUNK
+# A coin byte (1 iff the node proposes 0) -> 1 iff it proposes a color.
+_FREE = bytes.maketrans(b"\0\1", b"\1\0")
 
 # Region roles (see `coloring.phase2`); phase 1 puts every node in ring 1.
 CORE = "core"
@@ -92,7 +99,9 @@ def propose_resolve(live, coins, words, lists, offsets, flat, proposal) -> list[
     lists[i][words[k] % len(lists[i])].  Returns the positions whose proposal
     is nonzero and equals no neighbor's, the neighbors of i being
     flat[offsets[i]:offsets[i+1]]; `proposal[j]` must be 0 for every
-    neighbor j that is not live, so only live neighbors can clash.
+    neighbor j that is not live, so only live neighbors can clash.  This is
+    the iteration of the pipeline's phases 1 and 2; the Monte Carlo trials
+    apply the same rule to many trials at once in `_resolve_columns`.
     """
     for i, zero, w in zip(live, coins, words):
         if zero:
@@ -254,11 +263,13 @@ def phase1_trial_counts(
     the round engine with run seed (seed_base + t): every node proposes 0
     with probability 1/2, otherwise a uniform color from its list, and
     adopts iff its proposal is nonzero and no neighbor proposed the same
-    color.  Each chunk of lanes is one `propose_resolve` call over `per`
-    disjoint copies of the instance: the chunk's trial t runs on copy t,
-    positions t*n .. t*n+n-1, whose lanes hold (seed t, node i) as
-    `Lanes.stream_states` lays them out; a partial last chunk uses fewer
-    copies.  Position t*n + i counts node i's adoptions in copy t.
+    color (colors are positive, as `make_instance` checks).  The words are
+    drawn in chunks of whole trials, `_CHUNK` lanes or one trial, on which
+    lane t * n + i holds (seed t, node i) as `Lanes.stream_states` lays them
+    out; the salted ids are packed once.  The chunks' draws are appended to
+    a batch, and each batch of at least `_BATCH` lanes (and the rest at the
+    end) is resolved at once by `_resolve_columns`, per node and per edge
+    over the batch's trials.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -268,21 +279,44 @@ def phase1_trial_counts(
             raise out_of_colors(v)
     n = len(ids)
     per = max(1, _CHUNK // n)            # whole trials per chunk of lanes
-    if per > 1:
-        # copy t's rows follow copy t - 1's, as a list of offsets and a tuple
-        # of rows: for rows this short, their slices read faster than arrays'
-        m = len(flat)
-        off = [t * m + o for t in range(per) for o in off[:-1]] + [per * m]
-        flat = tuple([t * n + j for t in range(per) for j in flat])
-    lists = lists * per
-    proposal = [0] * (per * n)
-    counts = [0] * (per * n)
+    salted = salted_ids(ids, per)
+    counts = [0] * n
+    coins, words = bytearray(), array("Q")
     lanes = Lanes(per * n)
     for t0 in range(0, trials, per):
         seeds = range(seed_base + t0, seed_base + min(t0 + per, trials))
         if len(seeds) < per:
             lanes = Lanes(len(seeds) * n)
-        coins, words = _draws(lanes, lanes.stream_states(seeds, ids), 1)
-        for i in propose_resolve(range(lanes.k), coins, words, lists, off, flat, proposal):
-            counts[i] += 1
-    return {v: sum(counts[i::n]) for i, v in enumerate(ids)}
+        c, w = _draws(lanes, lanes.stream_states(seeds, ids, salted), 1)
+        coins += c
+        words += w
+        if len(coins) >= _BATCH or t0 + per >= trials:
+            _resolve_columns(coins, words, lists, off, flat, counts)
+            coins, words = bytearray(), array("Q")
+    return dict(zip(ids, counts))
+
+
+def _resolve_columns(coins, words, lists, offsets, flat, counts) -> None:
+    """Add each node's adoptions over a batch of T = len(coins) / n trials.
+
+    Lane t * n + i of `coins` and `words` holds node i's coin and index word
+    in the batch's trial t.  Bit t of a node's `free` int is set iff it
+    proposes a color in trial t (its coin is 0), and its column holds the
+    color its index word picks, drawn on every lane as `Phase1Program` draws
+    it.  Each edge i < j compares the two columns trial by trial; a trial in
+    which they are equal blocks each end in which the other end proposes.
+    """
+    n = len(lists)
+    free, cols = [], []
+    for i, lst in enumerate(lists):
+        free.append(int.from_bytes(coins[i::n].translate(_FREE), "little"))
+        cols.append(list(map(lst.__getitem__, map(mod, words[i::n], repeat(len(lst))))))
+    blocked = [0] * n
+    for i, col in enumerate(cols):
+        for j in flat[offsets[i]:offsets[i + 1]]:
+            if j > i:
+                same = int.from_bytes(bytes(map(eq, col, cols[j])), "little")
+                blocked[i] |= same & free[j]
+                blocked[j] |= same & free[i]
+    for i in range(n):
+        counts[i] += (free[i] & ~blocked[i]).bit_count()

@@ -12,8 +12,11 @@ Carlo trials in `_kernels`, the gnp generator in `graph`) compute many words
 at once on lanes: k 64-bit words sit in one Python int, word L in bits
 128L..128L+63, and each `mix64` step is one big-int operation over all lanes.
 The upper half of a lane leaves room for the 64x64-bit product; masking
-before each multiply keeps bits of the next lane out of it.  The words are
-bit-identical to `NodeRng`'s, which the tests check.
+before each multiply keeps bits of the next lane out of it.
+`Lanes.stream_states` starts many (seed, node) streams at once: it mixes
+each seed once, on one lane per seed, spreads that word over the seed's
+node lanes and mixes in the salted ids.  The words are bit-identical to
+`NodeRng`'s, which the tests check.
 """
 
 from __future__ import annotations
@@ -132,15 +135,22 @@ class Lanes:
             a.byteswap()
         return a[::2]
 
-    def stream_states(self, seeds: Sequence[int], node_ids: Sequence[int]) -> int:
+    def stream_states(self, seeds: Sequence[int], node_ids: Sequence[int],
+                      salted: int | None = None) -> int:
         """`stream_state(seed, v)` for every seed, then every node id.
 
         Lane t * len(node_ids) + i holds the state of (seeds[t], node_ids[i]);
         k must be len(seeds) * len(node_ids).  Seeds and ids are masked to 64
-        bits, as `stream_state` masks them.
+        bits, as `stream_state` masks them.  Each seed is mixed once, on a
+        len(seeds)-lane int, and its word is then copied over the seed's n
+        lanes.  `salted`, if given, is `salted_ids(node_ids, copies)` for any
+        copies >= len(seeds), so a caller that reuses one id list packs its
+        salted ids once; the mix drops the lanes past k.
         """
         n = len(node_ids)
-        z = self.mix(pack(map(_GOLDEN.__xor__, map(MASK64.__and__, seeds)), stride=n))
+        seeded = Lanes(len(seeds))
+        z = seeded.mix(pack(map(_GOLDEN.__xor__, map(MASK64.__and__, seeds))))
+        z = pack(seeded.words(z), stride=n)
         # Copy each seed's word (lane t * n) into its next n - 1 lanes by
         # doubling; the last shift overlaps lanes that already hold that word.
         w = 1
@@ -149,5 +159,14 @@ class Lanes:
             w *= 2
         if w < n:
             z |= z << (128 * (n - w))
-        salted = array("Q", [(v * _ID_SALT) & MASK64 for v in node_ids])
-        return self.mix(z ^ pack(salted * len(seeds)))
+        if salted is None:
+            salted = salted_ids(node_ids, len(seeds))
+        return self.mix(z ^ salted)
+
+
+def salted_ids(node_ids: Sequence[int], copies: int) -> int:
+    """The salted ids that `Lanes.stream_states` xors into the seed words,
+    packed `copies` times over: lane t * len(node_ids) + i holds
+    node_ids[i] * salt, masked to 64 bits."""
+    salted = array("Q", [(v * _ID_SALT) & MASK64 for v in node_ids])
+    return pack(salted * copies)

@@ -4,10 +4,10 @@ These deliberately re-derive results through different code paths than the
 package (sequential greedy instead of the tournament, a file-level
 properness scan instead of the in-memory one, the round engine instead of
 the kernels of phases 1, 2 and 3, one scalar draw at a time instead of lanes
-in the gnp generator, a product of `Fraction`s per joint outcome instead of
-the oracle's integer weights, a dict of lines per round instead of the
-trace's round-sorted chunks) so that agreement between the two is
-meaningful.
+in the gnp generator and the Monte Carlo trials, a product of `Fraction`s
+per joint outcome instead of the oracle's integer weights, a dict of lines
+per round instead of the trace's round-sorted chunks) so that agreement
+between the two is meaningful.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     if p == 1.0:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = NodeRng(seed, _GEN_STREAM)
-    log1p = math.log(1.0 - p)
+    log1p = math.log(1.0 - p) or math.log1p(-p)    # 1 - p may round to 1.0
     total = n * (n - 1) // 2
     edges = []
     k = -1
@@ -193,7 +193,10 @@ def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     row_len = n - 1
     while True:
         u = rng.uniform01()
-        gap = int(math.log(1.0 - u) / log1p) if u > 0.0 else 0
+        try:
+            gap = int(math.log(1.0 - u) / log1p) if u > 0.0 else 0
+        except OverflowError:                      # a gap too large for a float
+            break
         k += 1 + gap
         if k >= total:
             break
@@ -203,6 +206,27 @@ def reference_gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
             row_len -= 1
         edges.append((i, i + 1 + (k - row_start)))
     return edges
+
+
+def reference_trial_counts(instance: ColoringInstance, seed_base: int,
+                           trials: int) -> dict[int, int]:
+    """`_kernels.phase1_trial_counts` one trial and one `NodeRng` at a time:
+    node v draws its coin, then its index, from its stream of seed
+    seed_base + t, and adopts a color that no neighbor proposed."""
+    g = instance.graph
+    counts = dict.fromkeys(g.nodes, 0)
+    for t in range(trials):
+        proposal = {}
+        for v in g.nodes:
+            rng = NodeRng(seed_base + t, v)
+            zero = rng.coin()
+            lst = instance.lists[v]
+            color = lst[rng.randrange(len(lst))]
+            proposal[v] = 0 if zero else color
+        for v, c in proposal.items():
+            if c and all(proposal[u] != c for u in g.adjacency[v]):
+                counts[v] += 1
+    return counts
 
 
 def reference_adoption_probabilities(instance: ColoringInstance) -> dict[int, Fraction]:

@@ -149,7 +149,7 @@ def test_gnp_extremes():
 @pytest.mark.parametrize("n", [2, 3, 64, 1000, 3000])
 def test_gnp_edges_equal_the_scalar_reference(n):
     spans_three_batches = False
-    for p in (1e-9, 1e-3, min(1.0, 8 / n), 0.5, 0.999):
+    for p in (5e-324, 1e-17, 1e-9, 1e-3, min(1.0, 8 / n), 0.5, 0.999):
         if p * n * (n - 1) / 2 > 50_000:          # keep every case cheap
             continue
         for seed in (0, 1, 2**64 - 1):

@@ -1,6 +1,7 @@
 import pytest
 
-from sleepcolor.rng import MASK64, Lanes, NodeRng, derive_seed, mix64, pack, stream_state
+from sleepcolor.rng import (MASK64, Lanes, NodeRng, derive_seed, mix64, pack, salted_ids,
+                            stream_state)
 
 
 def test_same_seed_and_id_repeat_identically():
@@ -104,5 +105,13 @@ def test_stream_states_copy_every_seed_over_all_nodes(n):
     seeds = range(-2, 9)
     ids = [3 * i + 1 for i in range(n)]
     lanes = Lanes(len(seeds) * n)
-    assert list(lanes.words(lanes.stream_states(seeds, ids))) == \
-        [stream_state(s, v) for s in seeds for v in ids]
+    expected = [stream_state(s, v) for s in seeds for v in ids]
+    assert list(lanes.words(lanes.stream_states(seeds, ids))) == expected
+    # the salted ids packed once, for as many copies as seeds or more
+    for copies in (len(seeds), len(seeds) + 1, 3 * len(seeds)):
+        salted = salted_ids(ids, copies)
+        assert list(lanes.words(lanes.stream_states(seeds, ids, salted))) == expected
+    # a partial chunk: fewer seeds than the salted ids have copies
+    few = Lanes(2 * n)
+    salted = salted_ids(ids, len(seeds))
+    assert list(few.words(few.stream_states(seeds[:2], ids, salted))) == expected[:2 * n]
