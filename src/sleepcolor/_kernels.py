@@ -6,14 +6,16 @@ directly on node positions, bit for bit: the same SplitMix64 streams, draw
 order and adoption rule as `Phase1Program`, the engine's one node program
 for both phases.  Every proposing node takes words rnd + 1 (the coin) and
 rnd + 2 (the index) of its stream in the iteration that starts at round
-rnd, drawn on `rng`'s lanes, many streams per big-int operation.
-`propose_resolve` is the iteration, and `run_iterations` the one loop
+rnd, drawn on `rng`'s lanes, many streams per big-int operation; as
+SplitMix64 is counter-based, each iteration starts its live nodes' streams
+afresh.  `propose_resolve` is the iteration, and `run_iterations` the one loop
 around it for both phases: phase 2 runs it on the region around the
 high-degree nodes, and phase 1 is the region in which every node is in ring
 1.  The Monte Carlo trials draw the same words on lanes, one seed per
 trial, but resolve a batch of trials at once by columns: each node's coins
 over the batch become one int with a byte per trial, and each edge compares
-its two ends' color columns trial by trial (`_resolve_columns`).  The
+its two ends' color columns trial by trial (`_resolve_columns`).
+`record_round` records a kernel round's events, phase 3's slots too.  The
 engine stays the reference; the tests compare the two.
 """
 
@@ -25,7 +27,8 @@ from operator import eq, mod
 
 from .errors import AlgorithmInvariantViolation
 from .graph import ColoringInstance, format_decimal
-from .rng import Lanes, pack, salted_ids
+from .rng import Lanes, salted_ids
+from .simcore import sleep_act
 
 # Lanes per packed int (about 32 KB): large enough that the per-operation
 # overhead vanishes, small enough that the ints stay in cache.
@@ -68,23 +71,14 @@ def _draws(lanes: Lanes, states: int, counter: int) -> tuple[bytes, array]:
     return coins, lanes.words(lanes.mix(lanes.advance(z, 1)))
 
 
-def _stream_states(seed: int, ids) -> array:
-    """`stream_state(seed, v)` for every id v, in order, computed on lanes."""
-    state = array("Q")
-    for lo in range(0, len(ids), _CHUNK):
-        part = ids[lo:lo + _CHUNK]
-        lanes = Lanes(len(part))
-        state += lanes.words(lanes.stream_states((seed,), part))
-    return state
-
-
-def _live_draws(state, live, counter: int) -> tuple[bytearray, array]:
-    """`_draws` for the live positions, whose stream states are state[i]."""
+def _live_draws(seed: int, ids, live, counter: int) -> tuple[bytearray, array]:
+    """`_draws` for the live positions, whose streams are (seed, ids[i]):
+    SplitMix64 is counter-based, so each chunk starts its streams afresh."""
     coins, words = bytearray(), array("Q")
     for lo in range(0, len(live), _CHUNK):
-        part = [state[i] for i in live[lo:lo + _CHUNK]]
+        part = [ids[i] for i in live[lo:lo + _CHUNK]]
         lanes = Lanes(len(part))
-        c, w = _draws(lanes, pack(part), counter)
+        c, w = _draws(lanes, lanes.stream_states((seed,), part), counter)
         coins += c
         words += w
     return coins, words
@@ -138,9 +132,8 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     that neither proposed nor heard a proposal sleeps out the window
     (2*iterations rounds); a proposer with an empty list raises
     `out_of_colors`, worded for degree reduction iff there is a core node.
-    A `Trace` gets the engine's events: node events in id order per round,
-    message events in (sender, receiver) order, delivered iff the receiver
-    was awake.
+    A `Trace` gets the engine's events, two rounds per iteration through
+    `record_round`.
 
     Ring1 nodes always propose, ring2 nodes never, and a core node while its
     degree (its neighbors minus the adoptions it heard) is at least
@@ -159,7 +152,6 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     core = [i for i in region if roles[i] is CORE]
     listening = region                                 # awake, in id order
     live = [i for i in region if roles[i] is not RING2]   # proposers, in id order
-    state = _stream_states(seed, ids)
     awake = [r is not None for r in roles]
     heard = None             # last resolve round a node proposed or heard a proposal
     stop = [0] * n           # the round it terminated or fell asleep
@@ -173,7 +165,7 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
                 if not lists[i]:
                     raise out_of_colors(ids[i], bool(core))
             emptied = False  # the emptied lists belong to nodes that never propose again
-        coins, words = _live_draws(state, live, rnd + 1)
+        coins, words = _live_draws(seed, ids, live, rnd + 1)
         adopters = propose_resolve(live, coins, words, lists, off, flat, proposal)
         rnd += 2
         dropped = []
@@ -186,9 +178,13 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
                     heard[j] = rnd
             dropped = [i for i in listening if heard[i] != rnd]
         if trace is not None:
-            act = f"sleep:{last - rnd}" if rnd < last else "cont"
-            _trace_iteration(trace, rnd, ids, listening, live, adopters,
-                             dict.fromkeys(dropped, act), off, flat, awake)
+            acts = {i: "send" for i in live if off[i] < off[i + 1]}
+            record_round(trace, rnd - 1, ids, listening, [acts.get(i, "cont") for i in listening],
+                         live, off, flat, awake)
+            acts = dict.fromkeys(dropped, sleep_act(last - rnd) if rnd < last else "cont")
+            acts.update(dict.fromkeys(adopters, "term"))
+            record_round(trace, rnd, ids, listening, [acts.get(i, "cont") for i in listening],
+                         adopters, off, flat, awake)
         for a in adopters:
             awake[a] = False
             stop[a] = rnd
@@ -224,29 +220,12 @@ def run_iterations(instance: ColoringInstance, roles, threshold: int, iterations
     return color, stop, rnd, lists
 
 
-def _trace_iteration(trace, resolve, ids, listening, live, adopters, acts, off, flat,
-                     awake) -> None:
-    """Record one iteration's propose round and resolve round.
-
-    `listening` are the awake positions and `live` the proposers among them,
-    both in id order; `acts` holds the resolve-round act of every listener
-    that neither adopts nor continues.
-    """
-    t = resolve - 1
-    proposing = set(live)
-    listening_ids = [ids[i] for i in listening]
-    trace.nodes(t, listening_ids,
-                ["send" if i in proposing and off[i] < off[i + 1] else "cont"
-                 for i in listening])
-    _trace_sends(trace, t, ids, live, off, flat, awake)
-    _trace_sends(trace, t + 1, ids, adopters, off, flat, awake)
-    acts = {**acts, **dict.fromkeys(adopters, "term")}
-    trace.nodes(t + 1, listening_ids, [acts.get(i, "cont") for i in listening])
-
-
-def _trace_sends(trace, rnd, ids, senders, off, flat, awake) -> None:
-    """Each of `senders` sends to all its neighbors, in order; a message is
-    delivered iff its receiver is `awake`."""
+def record_round(trace, rnd, ids, present, acts, senders, off, flat, awake) -> None:
+    """Record one round of a position kernel: the k-th of the positions
+    `present`, in id order, did acts[k], and each of `senders` sent to its
+    neighbors flat[off[i]:off[i+1]] in row order, a message delivered iff
+    awake[j] for its receiver j (the sleeping model's one message rule)."""
+    trace.nodes(rnd, [ids[i] for i in present], acts)
     receivers = array("i")
     for i in senders:
         receivers += flat[off[i]:off[i + 1]]

@@ -207,17 +207,19 @@ def cmd_scaling(args) -> int:
         raise UsageError(f"--sizes must all be >= 1, got {format_decimal(min(sizes))}")
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
+    family = args.family or "gnp"
+    # gnp's --param is the expected degree here, so p = degree / n
+    degree = args.param if args.param is not None else 8.0
+    bad = [n for n in sizes if not 0 <= degree <= n] if family == "gnp" else ()
+    if bad:
+        raise UsageError(f"gnp expected degree {degree!r} is not in [0, {format_decimal(bad[0])}]")
 
     all_rows = []
     xs, worst_max, avg_mean = [], [], []
-    family = args.family or "gnp"
     code = 0
     with _output(args.out) as out:
         for n in sizes:
-            # gnp's --param is the expected degree here, so p = param / n
-            param = args.param
-            if family == "gnp":
-                param = (param if param is not None else 8.0) / n
+            param = degree / n if family == "gnp" else args.param
             rows, figures, c = _sweep(args, family, n, param)
             code = max(code, c)
             all_rows.extend(rows)

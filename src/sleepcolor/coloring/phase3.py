@@ -30,9 +30,10 @@ matching the standard assumption that the degree bound is a known
 parameter of the instance.
 
 `run_phase3` runs both stages directly on the residual's node positions,
-with no round engine, as phases 1 and 2 do.  `simulate_phase3` runs
-`Phase3Program` through the round engine; it is the reference the kernel
-must match bit for bit, trace included.
+with no round engine, as phases 1 and 2 do; `_kernels.record_round`
+records its tournament slots.  `simulate_phase3` runs `Phase3Program`
+through the round engine; it is the reference the kernel must match bit
+for bit, trace included.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from dataclasses import dataclass, field
 
 from ..errors import AlgorithmInvariantViolation, RunIncomplete
 from ..graph import ColoringInstance, format_decimal
-from ..simcore import Action, Trace, run_simulation
+from .._kernels import record_round
+from ..simcore import Action, Trace, run_simulation, sleep_act
 from .phase1 import PhaseOutcome, _engine_run
 
 COLOR_XCHG = "col"
@@ -388,23 +390,23 @@ def run_phase3(
     prelim = len(steps) + 1
     cap = prelim + tournament_slot_count(classes)
     g = residual.graph
-    ids, flat = g.nodes, g.flat
+    ids, off, flat = g.nodes, g.offsets, g.flat
     n = len(ids)
     nbrs = [g.row(i) for i in range(n)]
-    sleep_act = _SleepActs()
-
-    def exchange(rnd, acts):
-        # an interim round: everyone is awake, so every message is delivered
-        trace.nodes(rnd, ids, acts)
-        trace.messages(rnd, ids, list(map(len, nbrs)), list(map(ids.__getitem__, flat)),
-                       b"\1" * len(flat))
+    if trace is not None:
+        # rounds 1..P have every node awake and send the same messages, all delivered
+        sends = ["send" if ns else "cont" for ns in nbrs]
+        fanout = list(map(len, nbrs))
+        receivers = list(map(ids.__getitem__, flat))
+        delivered = b"\1" * len(flat)
 
     # interim rounds 1..P: in round r < P each node sends its color, and in
     # round r + 1 it applies reduction step r to the colors it heard
     cls = list(ids) if classes > 1 else [0] * n
     for rnd, (q, d) in enumerate(steps, start=1):
         if trace is not None:
-            exchange(rnd, ["send" if ns else "cont" for ns in nbrs])
+            trace.nodes(rnd, ids, sends)
+            trace.messages(rnd, ids, fanout, receivers, delivered)
         values: dict[tuple[int, int], int] = {}
         cls = [_reduce_color(c, [cls[j] for j in ns], q, d, values, v)
                for v, c, ns in zip(ids, cls, nbrs)]
@@ -412,8 +414,9 @@ def run_phase3(
     # round P sends the final class and sleeps until the first duty
     kept = _kept_duties(classes, cls, nbrs)
     if trace is not None:
-        exchange(prelim, [sleep_act[ds[0][0]] if ds[0][0] else "send" if ns else "cont"
-                          for ds, ns in zip(kept, nbrs)])
+        trace.nodes(prelim, ids, [sleep_act(ds[0][0]) if ds[0][0] else act
+                                  for ds, act in zip(kept, sends)])
+        trace.messages(prelim, ids, fanout, receivers, delivered)
 
     # slot s is round P + 1 + s; the nodes awake in it are those with a duty there
     at_slot: dict[int, list[int]] = {}
@@ -424,22 +427,27 @@ def run_phase3(
     awake_rounds = [prelim] * n
     term = [0] * n
     nxt = [0] * n                  # index of each node's next duty
-    awake_in = [-1] * n            # the last slot each node was awake in
-    adopted = [0] * n
-    color = [0] * n
+    color = [0] * n                # adopted at the leaf
     heard: dict[int, set[int]] = {}
     rounds = prelim
     for s in sorted(at_slot):
         rnd = prelim + 1 + s
         if rnd > cap:
             break
-        awake = at_slot[s]
-        # leaves first, in id order: a failing one raises before the round is traced
-        for i in awake:
-            awake_in[i] = s
-            if kept[i][nxt[i]][1] == LEAF:
-                c = cls[i]
-                if any(cls[j] == c for j in nbrs[i]):
+        # a slot is one class's leaf, or one subtree's announce with its
+        # listeners, so no announce reaches a leaf of the same slot
+        present = at_slot[s]
+        awake = bytearray(n)
+        for i in present:
+            awake[i] = 1
+        acts, announcers = [], []
+        for i in present:
+            ds, k = kept[i], nxt[i]
+            nxt[i] = k + 1
+            awake_rounds[i] += 1
+            kind = ds[k][1]
+            if kind == LEAF:       # a failing leaf raises before the round is recorded
+                if any(cls[j] == cls[i] for j in nbrs[i]):
                     raise AlgorithmInvariantViolation(
                         f"node {format_decimal(ids[i])}: interim coloring not proper")
                 taken = heard.get(i, ())
@@ -447,34 +455,22 @@ def run_phase3(
                 if free is None:
                     raise AlgorithmInvariantViolation(
                         f"node {format_decimal(ids[i])}: no free list color at its leaf round")
-                adopted[i] = free
-        acts = []
-        announcers = []
-        for i in awake:
-            ds, k = kept[i], nxt[i]
-            nxt[i] = k + 1
-            awake_rounds[i] += 1
-            kind = ds[k][1]
-            if kind == ANNOUNCE:
+                color[i] = free
+            elif kind == ANNOUNCE:
                 announcers.append(i)
-                c = adopted[i]
+                c = color[i]
                 for j in nbrs[i]:
-                    if awake_in[j] == s:
+                    if awake[j]:
                         heard.setdefault(j, set()).add(c)
             if k + 1 == len(ds):
                 term[i] = rnd
-                color[i] = adopted[i]
                 acts.append("term")
             else:
                 gap = ds[k + 1][0] - s - 1
-                acts.append(sleep_act[gap] if gap
+                acts.append(sleep_act(gap) if gap
                             else "send" if kind == ANNOUNCE and nbrs[i] else "cont")
         if trace is not None:
-            trace.nodes(rnd, [ids[i] for i in awake], acts)
-            trace.messages(rnd, [ids[i] for i in announcers],
-                           [len(nbrs[i]) for i in announcers],
-                           [ids[j] for i in announcers for j in nbrs[i]],
-                           [awake_in[j] == s for i in announcers for j in nbrs[i]])
+            record_round(trace, rnd, ids, present, acts, announcers, off, flat, awake)
         rounds = rnd
 
     outcome = PhaseOutcome(
@@ -483,19 +479,13 @@ def run_phase3(
     )
     left = term.count(0)
     if left:
+        # a node cut off before its last duty adopted a color but output none
+        outcome.color = [c if t else 0 for c, t in zip(color, term)]
         raise RunIncomplete(
             f"round cap {cap} reached with {left} non-terminated nodes",
             partial=outcome,
         )
     return outcome
-
-
-class _SleepActs(dict):
-    """sleep length -> its trace act, one string per length for the whole run."""
-
-    def __missing__(self, rounds: int) -> str:
-        act = self[rounds] = f"sleep:{rounds}"
-        return act
 
 
 def _kept_duties(classes: int, cls: list[int], nbrs) -> list[list]:

@@ -25,6 +25,7 @@ it is awake, including its terminating round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush, merge
 from itertools import chain, islice, repeat
 from operator import eq, sub
@@ -68,6 +69,12 @@ class NodeContext:
     round: int = 0
 
 
+@cache
+def sleep_act(rounds: int) -> str:
+    """The trace act of a node that sleeps `rounds` rounds, one per length."""
+    return f"sleep:{rounds}"
+
+
 class Trace:
     """Structured event log with the line-oriented text rendering.
 
@@ -88,12 +95,14 @@ class Trace:
 
     Each kind is recorded round by round, never going back: `nodes` and
     `messages` refuse a round below the last one of their kind, and extend
-    its last run when given that round again.  The text lists the rounds in
-    ascending order; within a round, its node lines come first, then its
-    message lines, each kind in recording order.  `chunks()` yields that
-    text piece by piece, at most `_PIECE` lines of one round and kind per
-    piece, so a caller can write it out without holding it whole;
-    `render()` joins the pieces.
+    its last run when given that round again.  In the package the engine,
+    `_kernels.record_round` and phase 3's all-awake rounds record them, and
+    every sleep act is `sleep_act`'s one string per length.  The text
+    lists the rounds in ascending order; within a round, its node lines
+    come first, then its message lines, each kind in recording order.
+    `chunks()` yields that text piece by piece, at most `_PIECE` lines of
+    one round and kind per piece, so a caller can write it out without
+    holding it whole; `render()` joins the pieces.
     """
 
     def __init__(self, round_offset: int = 0):
@@ -353,7 +362,7 @@ def run_simulation(
             elif act.sleep_rounds:
                 awake.discard(v)
                 heappush(wake_heap, (rnd + act.sleep_rounds + 1, v))
-                tok = f"sleep:{act.sleep_rounds}"
+                tok = sleep_act(act.sleep_rounds)
             else:
                 tok = "send" if act.sends else "cont"
             acts.append(tok)

@@ -315,6 +315,15 @@ def test_scaling_size_past_the_list_limit_is_an_instance_error(capsys):
     assert err == f"error: instance: n must be at most {sys.maxsize}\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--param", "-1"], ["--param", "nan"]])
+def test_scaling_refuses_a_gnp_degree_outside_zero_to_n_before_any_run(extra, capsys):
+    # p = degree / n (8 / 4 here by default) must be a probability for every
+    # size, and that is checked before the first size runs
+    code, out, err = run_cli(["scaling", "--sizes", "16,4", *extra], capsys)
+    assert code == 1 and "size n=" not in out
+    assert err.startswith("error: usage: gnp expected degree ") and err.count("\n") == 1
+
+
 def test_scaling_bad_sizes_exits_one(capsys):
     code, _, err = run_cli(["scaling", "--sizes", "16,banana"], capsys)
     assert code == 1 and err.startswith("error: usage:")

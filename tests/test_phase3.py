@@ -146,6 +146,14 @@ def test_class_duties_structure_and_bound():
             assert all(k == "announce" for k in kinds[leaf_at + 1:])
             bound = 2 * math.ceil(math.log2(classes)) + 2 if classes > 1 else 2
             assert len(duties) + 1 <= bound or classes == 1
+    # a slot belongs to one tree node, a leaf or an announce with its
+    # listeners, so `run_phase3` runs each slot in one pass
+    for classes in range(1, 301):
+        kinds: dict[int, set[str]] = {}
+        for cls in range(classes):
+            for slot, kind, *_ in class_duties(classes, cls):
+                kinds.setdefault(slot, set()).add(kind)
+        assert all(k == {"leaf"} or "leaf" not in k for k in kinds.values()), classes
 
 
 def test_single_class_residual():

@@ -27,7 +27,25 @@ from sleepcolor.graph import (
     write_instance,
 )
 from sleepcolor.metrics import collect
-from sleepcolor.simcore import Action, Trace, run_simulation
+from sleepcolor.simcore import Action, Trace, run_simulation, sleep_act
+
+
+def test_every_sleep_act_is_the_one_string_of_its_length():
+    # the pipeline's kernels and the engine's three phase programs all name a
+    # sleep of r rounds by the string `sleep_act(r)` itself (phase 1 has
+    # every node propose in every iteration, so no node sleeps there)
+    inst = make_default_instance(generate("gnp", 4096, seed=3, param=8 / 4096))
+    traces = [Trace() for _ in range(4)]
+    run_pipeline(inst, PipelineConfig(seed=1, k1=1, phase2_degree_threshold=10),
+                 trace=traces[0])
+    residual = phase1.simulate_phase1(inst, 1, 7, trace=traces[1]).residual
+    residual = phase2.simulate_phase2(residual, 10, PHASE2_ITERATION_CAP, 7,
+                                      trace=traces[2]).residual
+    phase3.simulate_phase3(residual, trace=traces[3])
+    for k, trace in enumerate(traces):
+        sleeps = [a for a in trace.node_act if a.startswith("sleep:")]
+        assert bool(sleeps) == (k != 1), k
+        assert all(a is sleep_act(int(a[6:])) for a in sleeps), k
 
 
 def test_single_node_graph_colors_with_at_most_four_awake_rounds():
